@@ -5,10 +5,10 @@ Simulates drifting random walks at several lengths, averages the
 ceiling per length, and fits the log-log slope. Driftless walks land on
 the theoretical 3/2 (level filter) and 5/2 (trend filter) powers over
 every length range. With regime-switching drift the slope is a crossover
-near the regime length 1/(1-p) (about 143 steps at p=0.993): over the
-default lengths 250..2000 it comes out near 2.7 and 1.6, and it reaches
-2.5 and 1.5 only once the lengths are much longer than 1/(1-p). Run with
---lengths 4000 8000 16000 32000 to see the drifting walk settle.
+near the regime length 1/(1-p) (about 143 steps at p=0.993): it reaches
+2.5 and 1.5 only once the lengths are much longer than 1/(1-p), as the
+default lengths 4000..32000 are. Run with --lengths 250 500 1000 2000 to
+see the crossover, where the slope comes out near 2.7 and 1.6.
 """
 
 import argparse
@@ -21,7 +21,7 @@ def main():
     parser.add_argument("--n-sims", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lengths", type=int, nargs="+",
-                        default=[250, 500, 1000, 2000])
+                        default=[4000, 8000, 16000, 32000])
     args = parser.parse_args()
 
     settings = [

@@ -99,22 +99,6 @@ def residual(problem: BoxQP, state: IpmState, tau: float) -> np.ndarray:
     return np.concatenate([r_dual, r_cent_hi, r_cent_lo])
 
 
-def residual_jacobian(problem: BoxQP, state: IpmState) -> np.ndarray:
-    """Dense Jacobian of the residual map (small problems / diagnostics)."""
-    p = problem.dim
-    s_hi = problem.upper - state.nu
-    s_lo = state.nu + problem.upper
-    J = np.zeros((3 * p, 3 * p))
-    J[:p, :p] = problem.Q.to_dense()
-    J[:p, p:2 * p] = np.eye(p)
-    J[:p, 2 * p:] = -np.eye(p)
-    J[p:2 * p, :p] = np.diag(-state.mu_hi)
-    J[p:2 * p, p:2 * p] = np.diag(s_hi)
-    J[2 * p:, :p] = np.diag(state.mu_lo)
-    J[2 * p:, 2 * p:] = np.diag(s_lo)
-    return J
-
-
 def newton_step(problem: BoxQP, state: IpmState, tau: float):
     """Newton direction solving J dz = -r_tau via multiplier elimination.
 

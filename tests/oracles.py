@@ -6,6 +6,7 @@ and optima are found by exhaustive enumeration, so these results can
 certify the production implementations.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -30,10 +31,15 @@ def ols_line(y):
     return np.polyval(coeffs, t)
 
 
+@functools.lru_cache(maxsize=None)
 def _sign_columns(k):
+    """All 2^k sign vectors as columns; read-only, as every caller shares it."""
     if k == 0:
-        return np.zeros((0, 1))
-    return np.array(list(itertools.product([-1.0, 1.0], repeat=k))).T
+        signs = np.zeros((0, 1))
+    else:
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k))).T
+    signs.flags.writeable = False
+    return signs
 
 
 def box_qp_bruteforce(Q, r, upper, feas_tol=1e-9):
@@ -111,3 +117,19 @@ def l1_bruteforce_objective(y, D, lam_vec):
         penalty = lam_vec @ np.abs(D @ x)
         best = min(best, float(np.min(fidelity + penalty)))
     return best
+
+
+def residual_jacobian(problem, state):
+    """Dense Jacobian of the IPM's stacked KKT residual map, entry by entry."""
+    p = problem.dim
+    s_hi = problem.upper - state.nu
+    s_lo = state.nu + problem.upper
+    J = np.zeros((3 * p, 3 * p))
+    J[:p, :p] = problem.Q.to_dense()
+    J[:p, p:2 * p] = np.eye(p)
+    J[:p, 2 * p:] = -np.eye(p)
+    J[p:2 * p, :p] = np.diag(-state.mu_hi)
+    J[p:2 * p, p:2 * p] = np.diag(s_hi)
+    J[2 * p:, :p] = np.diag(state.mu_lo)
+    J[2 * p:, 2 * p:] = np.diag(s_lo)
+    return J

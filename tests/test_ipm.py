@@ -8,12 +8,11 @@ from trendkit.ipm import (
     initial_state,
     newton_step,
     residual,
-    residual_jacobian,
     solve_box_qp,
     surrogate_gap,
 )
 
-from oracles import box_qp_bruteforce
+from oracles import box_qp_bruteforce, residual_jacobian
 
 
 def _identity_problem(r, upper):
