@@ -47,7 +47,8 @@ def _model1(n, seed):
     return simulate_model1(default_params(1, n=n, seed=seed))[1]
 
 
-def _serial_grid(values, cfg):
+def _serial_cv(values, cfg):
+    """The cross-validation as one loop over folds and grid, in-process."""
     n = len(values)
     ceilings = [
         lambda_max(values[n - (cfg.m - i) * cfg.T2:n - (cfg.m - i - 1) * cfg.T2],
@@ -55,13 +56,7 @@ def _serial_grid(values, cfg):
         for i in range(cfg.m)
     ]
     lo, hi = _grid_bounds(float(np.mean(ceilings)), float(np.std(ceilings, ddof=1)))
-    return lo * (hi / lo) ** (np.arange(1, cfg.n_grid + 1) / cfg.n_grid)
-
-
-def _serial_cv(values, cfg):
-    """The cross-validation as one loop over folds and grid, in-process."""
-    n = len(values)
-    grid = _serial_grid(values, cfg)
+    grid = lo * (hi / lo) ** (np.arange(1, cfg.n_grid + 1) / cfg.n_grid)
     fold_errors = np.zeros((cfg.n_grid, cfg.p))
     for k in range(cfg.p):
         test_start = n - (cfg.p - k) * cfg.T2
@@ -89,20 +84,6 @@ def _outcome(fn, *args):
         return "returned", fn(*args)
     except Exception as exc:
         return "raised", (type(exc), str(exc))
-
-
-def _first_failure(values, cfg):
-    """The exception a serial loop over the grid solves meets first."""
-    n = len(values)
-    grid = _serial_grid(values, cfg)
-    for k in range(cfg.p):
-        test_start = n - (cfg.p - k) * cfg.T2
-        for lam in grid:
-            try:
-                l1_filter(values[test_start - cfg.T1:test_start], lam, order=cfg.order)
-            except Exception as exc:
-                return exc
-    return None
 
 
 @pytest.mark.parametrize("cfg, n, seed", [
@@ -147,13 +128,13 @@ def test_worker_failure_reaches_caller_as_the_serial_loops_first():
     # and 8th, first in other chunks, hit a non-finite slack.
     assert POOLED.n_grid * POOLED.p * POOLED.T1 >= POOL_MIN_WORK
     values = 3e4 * np.cumsum(np.random.default_rng(3).standard_normal(_need(POOLED)))
-    expected = _first_failure(values, POOLED)
-    assert isinstance(expected, ConvergenceError)
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError) as serial:
+        _serial_cv(values, POOLED)
+    with pytest.raises(ConvergenceError) as pooled:
         cv_filter(values, POOLED)
-    assert str(info.value) == str(expected)
-    assert info.value.diagnostics.iterations == expected.diagnostics.iterations
-    assert np.array_equal(info.value.diagnostics.nu_star, expected.diagnostics.nu_star)
+    assert str(pooled.value) == str(serial.value)
+    assert pooled.value.diagnostics.iterations == serial.value.diagnostics.iterations
+    assert np.array_equal(pooled.value.diagnostics.nu_star, serial.value.diagnostics.nu_star)
 
 
 def test_recovers_from_a_killed_worker():
