@@ -7,6 +7,9 @@ difference operators and narrow-banded SPD systems, so both live here:
   their transposes in O(n) without materializing the matrix.
 * :class:`BandedSymMatrix` stores an SPD matrix by its lower diagonals
   and solves against it with a band Cholesky factorization.
+* :func:`gram_banded`, :func:`tc_gram_banded` and :func:`hp_banded`
+  write the systems of the L1 duals, the mixed filter's dual and the
+  quadratic filter straight into band storage from the stencils, in O(n).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import NotPositiveDefiniteError
 
@@ -75,19 +77,15 @@ class DiffOperator:
             out[offset:offset + m] += coeff * u
         return out
 
-    def to_sparse(self) -> scipy.sparse.csr_matrix:
-        """CSR form of the operator (O(n) storage)."""
-        diags = [np.full(self.rows, c) for c in self.stencil]
-        offsets = list(range(len(self.stencil)))
-        return scipy.sparse.diags(
-            diags, offsets, shape=(self.rows, self.n), format="csr"
-        )
-
     def to_dense(self) -> np.ndarray:
         """Dense matrix, for small-problem oracles only."""
         if self.n > _DENSE_LIMIT:
             raise ValueError(f"refusing to densify a {self.rows}x{self.n} operator")
-        return self.to_sparse().toarray()
+        out = np.zeros((self.rows, self.n))
+        rows = np.arange(self.rows)
+        for offset, coeff in enumerate(self.stencil):
+            out[rows, rows + offset] = coeff
+        return out
 
 
 def diff_operator(order: int, n: int) -> DiffOperator:
@@ -150,28 +148,54 @@ class BandedSymMatrix:
             out += np.diag(d, -k) + np.diag(d, k)
         return out
 
-    @classmethod
-    def from_sparse(cls, A, bandwidth: int) -> "BandedSymMatrix":
-        """Extract the lower bands of a symmetric scipy sparse matrix."""
-        n = A.shape[0]
-        bandwidth = min(bandwidth, n - 1)
-        bands = np.zeros((bandwidth + 1, n))
-        for k in range(bandwidth + 1):
-            bands[k, : n - k] = A.diagonal(-k)
-        return cls(n=n, bandwidth=bandwidth, bands=bands)
+
+def _row_gram(stencils, rows: int, width: int) -> BandedSymMatrix:
+    """Banded B B' for ``rows`` rows of B: row P*i + q holds stencils[q]
+    from column i on (P = len(stencils)), so entry (r + k, r) is the same
+    stencil inner product for every row r of one class q."""
+    period = len(stencils)
+    width = min(width, rows - 1)
+    bands = np.zeros((width + 1, rows))
+    for k in range(width + 1):
+        for q, a in enumerate(stencils):
+            shift, b = (q + k) // period, stencils[(q + k) % period]
+            span = range(shift, min(len(a), shift + len(b)))
+            bands[k, q:rows - k:period] = sum(a[j] * b[j - shift] for j in span)
+    return BandedSymMatrix(n=rows, bandwidth=width, bands=bands)
 
 
 def gram_banded(op: DiffOperator) -> BandedSymMatrix:
     """Banded representation of D D^T (tridiagonal for order 1, pentadiagonal for 2)."""
-    m = op.rows
-    stencil = op.stencil
-    width = min(len(stencil) - 1, m - 1)
-    bands = np.zeros((width + 1, m))
-    for k in range(width + 1):
-        # inner product of a stencil row with itself shifted by k columns
-        val = sum(stencil[j] * stencil[j + k] for j in range(len(stencil) - k))
-        bands[k, : m - k] = val
-    return BandedSymMatrix(n=m, bandwidth=width, bands=bands)
+    return _row_gram([op.stencil], op.rows, op.order)
+
+
+def tc_gram_banded(n: int) -> BandedSymMatrix:
+    """Banded Gram of the mixed filter's rows: the first difference at i
+    is row 2i and the second difference at i row 2i + 1, which keeps the
+    bandwidth at 4 (2n - 4 for n < 4) instead of coupling rows n apart."""
+    return _row_gram([_STENCILS[1], _STENCILS[2]], 2 * n - 3, 4)
+
+
+def interleave(first, second) -> np.ndarray:
+    """Merge n-1 first- and n-2 second-difference entries in the row
+    order of :func:`tc_gram_banded`."""
+    out = np.empty(len(first) + len(second))
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
+def hp_banded(op: DiffOperator, lam: float) -> BandedSymMatrix:
+    """Banded I + 2 lam D'D, the system of the quadratic filter."""
+    s, m = op.stencil, op.rows
+    bands = np.zeros((op.order + 1, op.n))
+    for k in range(op.order + 1):
+        for j in range(len(s) - k):
+            # difference row i adds s[j] * s[j + k] at (i + j + k, i + j)
+            bands[k, j:j + m] += s[j] * s[j + k]
+    bands *= 2.0 * lam
+    bands[0] += 1.0
+    return BandedSymMatrix(n=op.n, bandwidth=op.order, bands=bands)
 
 
 def band_solve(A: BandedSymMatrix, b) -> np.ndarray:

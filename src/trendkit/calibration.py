@@ -88,6 +88,12 @@ class CVConfig:
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
 
+    @property
+    def min_history(self) -> int:
+        """Samples a cross-validation needs: m test windows for the grid
+        bounds, and p test windows with a training window before the first."""
+        return max(self.m * self.T2, self.T1 + self.p * self.T2)
+
 
 @dataclass(frozen=True)
 class CVReport:
@@ -344,10 +350,9 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     """
     values = as_values(y)
     n = len(values)
-    need = max(cfg.m * cfg.T2, cfg.T1 + cfg.p * cfg.T2)
-    if n < need:
+    if n < cfg.min_history:
         raise InsufficientHistoryError(
-            f"cross-validation needs {need} samples "
+            f"cross-validation needs {cfg.min_history} samples "
             f"(m={cfg.m}, p={cfg.p}, T1={cfg.T1}, T2={cfg.T2}), got {n}"
         )
 

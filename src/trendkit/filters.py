@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse
 
-from .banded import BandedSymMatrix, band_solve, diff_operator, gram_banded
+from .banded import (
+    band_solve, diff_operator, gram_banded, hp_banded, interleave, tc_gram_banded,
+)
 from .errors import ConvergenceError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
@@ -95,11 +96,7 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
         raise ValueError(f"lam must be non-negative, got {lam}")
     if lam == 0:
         return FilterResult(values.copy(), None, 0.0, None, values)
-    op = diff_operator(order, len(values))
-    D = op.to_sparse()
-    system = scipy.sparse.eye(len(values), format="csr") + 2.0 * lam * (D.T @ D)
-    A = BandedSymMatrix.from_sparse(system, bandwidth=order)
-    trend = band_solve(A, values)
+    trend = band_solve(hp_banded(diff_operator(order, len(values)), lam), values)
     return FilterResult(trend, None, float(lam), None, values)
 
 
@@ -129,18 +126,6 @@ def l1_filter(
     solution = _solve_l1_dual(problem, tol, max_iter)
     trend = values - op.apply_transpose(solution.nu_star)
     return FilterResult(trend, solution.nu_star, float(lam), solution, values)
-
-
-def _tc_positions(n: int):
-    """Interleaved dual ordering for the mixed filter.
-
-    Placing the first- and second-difference duals for nearby sample
-    positions next to each other keeps the stacked Gram matrix banded
-    (bandwidth 4) instead of coupling rows n apart.
-    """
-    pos1 = 2 * np.arange(n - 1)
-    pos2 = 2 * np.arange(n - 2) + 1
-    return pos1, pos2
 
 
 def l1tc_filter(
@@ -175,24 +160,14 @@ def l1tc_filter(
         dual = np.concatenate([base.dual, np.zeros(op2.rows)])
         return FilterResult(base.trend, dual, (float(lam1), 0.0), base.diagnostics, values)
 
-    pos1, pos2 = _tc_positions(n)
-    perm = np.empty(op1.rows + op2.rows, dtype=int)
-    perm[pos1] = np.arange(op1.rows)
-    perm[pos2] = op1.rows + np.arange(op2.rows)
-    stacked = scipy.sparse.vstack([op1.to_sparse(), op2.to_sparse()], format="csr")
-    interleaved = stacked[perm]
-
-    upper = np.empty(op1.rows + op2.rows)
-    upper[pos1] = lam1
-    upper[pos2] = lam2
     problem = BoxQP(
-        Q=BandedSymMatrix.from_sparse(interleaved @ interleaved.T, bandwidth=4),
-        r=interleaved @ values,
-        upper=upper,
+        Q=tc_gram_banded(n),
+        r=interleave(op1.apply(values), op2.apply(values)),
+        upper=interleave(np.full(op1.rows, lam1), np.full(op2.rows, lam2)),
     )
     solution = _solve_l1_dual(problem, tol, max_iter)
-    nu1 = solution.nu_star[pos1]
-    nu2 = solution.nu_star[pos2]
+    nu1 = solution.nu_star[0::2]
+    nu2 = solution.nu_star[1::2]
     trend = values - op1.apply_transpose(nu1) - op2.apply_transpose(nu2)
     dual = np.concatenate([nu1, nu2])
     return FilterResult(trend, dual, (float(lam1), float(lam2)), solution, values)

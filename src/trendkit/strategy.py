@@ -194,7 +194,6 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
 
     Every estimator sees only log prices up to and including t.
     """
-    n = len(log_p)
     cv = cfg.cv_config()
 
     if cfg.trend_model == "ma":
@@ -214,33 +213,19 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
 
         return estimate, window - 1
 
-    if cfg.trend_model == "l1-local":
-        need = max(cv.m * cv.T2, cv.T1 + cv.p * cv.T2)
+    if cfg.trend_model in ("l1-local", "l1-global"):
+        l1_cv = cv if cfg.trend_model == "l1-local" else global_cv_config(cv)
 
         def estimate(t):
             hist = log_p[:t + 1]
-            report = cv_filter(hist, cv)
-            fit = l1_filter(hist[-cv.T1:], report.lambda_star, order=2)
+            report = cv_filter(hist, l1_cv)
+            fit = l1_filter(hist[-l1_cv.T1:], report.lambda_star, order=2)
             return _last_slope(fit.trend)
 
-        return estimate, need - 1
-
-    if cfg.trend_model == "l1-global":
-        gcv = global_cv_config(cv)
-        need = max(gcv.m * gcv.T2, gcv.T1 + gcv.p * gcv.T2)
-
-        def estimate(t):
-            hist = log_p[:t + 1]
-            report = cv_filter(hist, gcv)
-            fit = l1_filter(hist[-gcv.T1:], report.lambda_star, order=2)
-            return _last_slope(fit.trend)
-
-        return estimate, need - 1
+        return estimate, l1_cv.min_history - 1
 
     # l1-two-trend
-    gcv = global_cv_config(cv)
-    need = max(cv.m * cv.T2, cv.T1 + cv.p * cv.T2,
-               gcv.m * gcv.T2, gcv.T1 + gcv.p * gcv.T2)
+    need = max(cv.min_history, global_cv_config(cv).min_history)
 
     def estimate(t):
         prediction = predict_two_trend(log_p[:t + 1], cv)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from trendkit.banded import BandedSymMatrix, band_solve, diff_operator, gram_banded
+from trendkit.banded import (
+    BandedSymMatrix,
+    band_solve,
+    diff_operator,
+    gram_banded,
+    hp_banded,
+    interleave,
+    tc_gram_banded,
+)
 from trendkit.errors import NotPositiveDefiniteError
 
 from oracles import dense_diff
@@ -116,6 +124,52 @@ def test_gram_is_symmetric():
     for order in (1, 2):
         G = gram_banded(diff_operator(order, 12)).to_dense()
         np.testing.assert_array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_diff_to_dense_matches_numpy_diff(order):
+    for n in range(order + 1, 12):
+        assert np.array_equal(diff_operator(order, n).to_dense(), dense_diff(order, n))
+
+
+def _assert_zero_padding(A):
+    for k in range(1, A.bandwidth + 1):
+        assert np.all(A.bands[k, A.n - k:] == 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 7.5, 1600.0, 1e5])
+def test_hp_bands_match_dense_system(order, lam):
+    for n in range(order + 1, 9):
+        D = dense_diff(order, n)
+        A = hp_banded(diff_operator(order, n), lam)
+        assert A.bandwidth == order
+        _assert_zero_padding(A)
+        assert np.array_equal(A.to_dense(), np.eye(n) + 2.0 * lam * (D.T @ D))
+
+
+def _dense_interleaved_stack(n):
+    """First difference at i, then second difference at i, for i = 0, 1, ..."""
+    D1, D2 = dense_diff(1, n), dense_diff(2, n)
+    rows = []
+    for i in range(n - 1):
+        rows.append(D1[i])
+        if i < n - 2:
+            rows.append(D2[i])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tc_system_matches_dense_interleaved_stack(n):
+    B = _dense_interleaved_stack(n)
+    G = tc_gram_banded(n)
+    assert G.bandwidth == min(4, 2 * n - 4)
+    _assert_zero_padding(G)
+    assert np.array_equal(G.to_dense(), B @ B.T)
+    # integer data: every product and partial sum is exact in any order
+    y = np.random.default_rng(n).integers(-50, 50, size=n).astype(float)
+    rhs = interleave(diff_operator(1, n).apply(y), diff_operator(2, n).apply(y))
+    assert np.array_equal(rhs, B @ y)
 
 
 def test_band_solve_identity():

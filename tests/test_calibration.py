@@ -139,6 +139,11 @@ class TestCvFilter:
         with pytest.raises(InsufficientHistoryError):
             cv_filter(np.zeros(100), CVConfig(T1=100, T2=25, m=4, p=4))
 
+    def test_min_history_is_the_larger_window_span(self):
+        # training window plus p test windows, or m test windows
+        assert CVConfig(T1=400, T2=50, m=12, p=12).min_history == 1000
+        assert CVConfig(T1=20, T2=10, m=5, p=1).min_history == 50
+
 
 class TestPredictTwoTrend:
     CFG = CVConfig(T1=80, T2=20, T3=40, m=3, p=3, n_grid=5)

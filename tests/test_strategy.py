@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from trendkit.calibration import cv_filter, global_cv_config
 from trendkit.errors import DataError, InsufficientHistoryError
 from trendkit.series import Series
 from trendkit.strategy import (
@@ -220,6 +221,33 @@ class TestRunBacktest:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
             run_backtest(exponential_prices(50), 0.0, small_cfg("l1-global"))
+
+    @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
+    def test_history_boundary(self, model):
+        cfg = small_cfg(model)
+        local, glob = cfg.cv_config(), global_cv_config(cfg.cv_config())
+        assert (local.min_history, glob.min_history) == (90, 180)
+        need = {
+            "l1-local": local.min_history,
+            "l1-global": glob.min_history,
+            "l1-two-trend": max(local.min_history, glob.min_history),
+        }[model]
+        start = max(need - 1, cfg.vol_window)
+        log_p = np.cumsum(0.01 * np.random.default_rng(21).standard_normal(200))
+        values = 100.0 * np.exp(log_p[:start + 2])
+        report = run_backtest(values, 0.0, cfg)
+        assert report.start_index == start
+        assert report.failures == []
+        with pytest.raises(InsufficientHistoryError):
+            run_backtest(values[:-1], 0.0, cfg)
+
+    def test_cv_history_boundary(self):
+        local = small_cfg("l1-local").cv_config()
+        log_p = np.cumsum(0.01 * np.random.default_rng(21).standard_normal(200))
+        for cv in (local, global_cv_config(local)):
+            cv_filter(log_p[:cv.min_history], cv)
+            with pytest.raises(InsufficientHistoryError):
+                cv_filter(log_p[:cv.min_history - 1], cv)
 
     def test_rates_series_must_align(self):
         prices = exponential_prices(300)
