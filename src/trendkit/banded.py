@@ -10,14 +10,17 @@ difference operators and narrow-banded SPD systems, so both live here:
 * :func:`gram_banded`, :func:`tc_gram_banded` and :func:`hp_banded`
   write the systems of the L1 duals, the mixed filter's dual and the
   quadratic filter straight into band storage from the stencils, in O(n).
+* :func:`band_solve` and :func:`hp_solve` call LAPACK's band Cholesky
+  directly; :func:`hp_solve` reuses one factor per quadratic-filter system.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError
 
@@ -198,14 +201,65 @@ def hp_banded(op: DiffOperator, lam: float) -> BandedSymMatrix:
     return BandedSymMatrix(n=op.n, bandwidth=op.order, bands=bands)
 
 
+def _require_finite(*arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_info(info: int, n: int):
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"band Cholesky failed on a {n}x{n} system: "
+            f"{info}th leading minor not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+
+
 def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
-    """Solve A x = b by band Cholesky (A must be positive definite)."""
+    """Solve A x = b by band Cholesky (A must be positive definite).
+
+    Calls LAPACK directly: ``dptsv`` for a tridiagonal A and ``dpbsv``
+    otherwise, the routines ``scipy.linalg.solveh_banded`` picks, so the
+    solution is bit for bit the same. Non-finite input raises ValueError.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise ValueError(f"rhs length {b.shape} does not match matrix size {A.n}")
-    try:
-        return scipy.linalg.solveh_banded(A.bands, b, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"band Cholesky failed on a {A.n}x{A.n} system: {exc}"
-        ) from exc
+    _require_finite(A.bands, b)
+    if A.bandwidth == 1:
+        _, _, x, info = lapack.dptsv(A.bands[0], A.bands[1, :-1], b)
+    else:
+        _, x, info = lapack.dpbsv(A.bands, b, lower=1)
+    _check_info(info, A.n)
+    return x
+
+
+@functools.lru_cache(maxsize=8)
+def _hp_factor(order: int, n: int, lam: float):
+    """Band Cholesky factor of :func:`hp_banded`, made once per (order, n, lam):
+    ``dpttrf``'s (d, e) at order 1, ``dpbtrf``'s bands at order 2."""
+    A = hp_banded(diff_operator(order, n), lam)
+    _require_finite(A.bands)
+    if order == 1:
+        *factor, info = lapack.dpttrf(A.bands[0], A.bands[1, :-1])
+    else:
+        *factor, info = lapack.dpbtrf(A.bands, lower=1)
+    _check_info(info, n)
+    return factor
+
+
+def hp_solve(order: int, lam: float, b) -> np.ndarray:
+    """Solve (I + 2 lam D'D) x = b, D of the given order, with a factor
+    cached per (order, len(b), lam); ``dptsv``/``dpbsv`` are exactly these
+    factor and solve steps, so x is bit for bit :func:`band_solve`'s."""
+    b = np.asarray(b, dtype=float)
+    factor = _hp_factor(order, len(b), float(lam))
+    _require_finite(b)
+    if order == 1:
+        x, info = lapack.dpttrs(*factor, b)
+    else:
+        x, info = lapack.dpbtrs(*factor, b, lower=1)
+    _check_info(info, len(b))
+    return x

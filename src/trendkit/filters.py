@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .banded import (
-    band_solve, diff_operator, gram_banded, hp_banded, interleave, tc_gram_banded,
+    diff_operator, gram_banded, hp_solve, interleave, tc_gram_banded,
 )
 from .errors import ConvergenceError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
@@ -96,7 +96,7 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
         raise ValueError(f"lam must be non-negative, got {lam}")
     if lam == 0:
         return FilterResult(values.copy(), None, 0.0, None, values)
-    trend = band_solve(hp_banded(diff_operator(order, len(values)), lam), values)
+    trend = hp_solve(order, lam, values)
     return FilterResult(trend, None, float(lam), None, values)
 
 

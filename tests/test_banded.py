@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -9,6 +10,7 @@ from trendkit.banded import (
     diff_operator,
     gram_banded,
     hp_banded,
+    hp_solve,
     interleave,
     tc_gram_banded,
 )
@@ -217,6 +219,57 @@ def test_band_solve_rejects_indefinite():
     A = BandedSymMatrix(2, 0, np.array([[1.0, -1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         band_solve(A, np.array([1.0, 1.0]))
+
+
+def _random_spd_bands(rng, n, bandwidth):
+    bands = np.zeros((bandwidth + 1, n))
+    for k in range(1, bandwidth + 1):
+        bands[k, : n - k] = rng.normal(size=n - k)
+    bands[0] = np.abs(rng.normal(size=n)) + 2.0 * (bandwidth + 1) + np.abs(bands[1:]).sum(axis=0)
+    return BandedSymMatrix(n, bandwidth, bands)
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 4])
+def test_band_solve_is_bitwise_solveh_banded(bandwidth):
+    rng = np.random.default_rng(bandwidth)
+    for n in (bandwidth + 1, bandwidth + 2, 17, 400, 2080):
+        A = _random_spd_bands(rng, n, bandwidth)
+        b = rng.normal(size=n)
+        assert np.array_equal(band_solve(A, b), scipy.linalg.solveh_banded(A.bands, b, lower=True))
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_solve_rejects_nonfinite_input(bandwidth, bad):
+    A = _random_spd_bands(np.random.default_rng(1), 6, bandwidth)
+    b = np.ones(6)
+    b[3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        band_solve(A, b)
+    A.bands[0, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        band_solve(A, np.ones(6))
+
+
+@pytest.mark.parametrize("bandwidth", [1, 2])
+def test_band_solve_rejects_indefinite_banded(bandwidth):
+    A = gram_banded(diff_operator(bandwidth, 8))  # D D' is positive definite
+    A.bands[0, 3] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match="leading minor"):
+        band_solve(A, np.ones(A.n))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_hp_solve_reuses_a_bitwise_factor(order):
+    rng = np.random.default_rng(order)
+    lam = 1e8
+    for _ in range(3):  # the second and third solves reuse the cached factor
+        y = np.cumsum(rng.normal(size=520))
+        A = hp_banded(diff_operator(order, 520), lam)
+        assert np.array_equal(hp_solve(order, lam, y), band_solve(A, y))
+    y[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        hp_solve(order, lam, y)
 
 
 def test_matvec_matches_dense():

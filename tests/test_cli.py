@@ -147,6 +147,17 @@ class TestFilterCommand:
         ])
         assert code == EXIT_NUMERICAL
 
+    def test_index_level_series_is_numerical_failure(self, tmp_path, capsys):
+        # 1,008 samples at index levels (about 1200, daily moves about 12): at
+        # a tenth of lambda_max a slack rounds to zero and the Newton system
+        # stops being finite, which must surface as a numerical failure.
+        rng = np.random.default_rng(0)
+        f = tmp_path / "index.csv"
+        write_csv(f, np.arange(1008), [("value", 1200 + np.cumsum(12 * rng.standard_normal(1008)))])
+        code = main(["filter", str(f), "--kind", "l1t", "--lambda-max-fraction", "0.1"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         f = self.make_input(tmp_path)
         assert main(["filter", str(f), "--kind", "wavelet"]) == EXIT_USAGE
