@@ -26,9 +26,6 @@ from .errors import NotPositiveDefiniteError
 
 _STENCILS = {1: (-1.0, 1.0), 2: (1.0, -2.0, 1.0)}
 
-# DiffOperator.to_dense refuses above this size; large-n code must stay matrix-free.
-_DENSE_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class DiffOperator:
@@ -78,16 +75,6 @@ class DiffOperator:
         out = np.zeros(self.n)
         for offset, coeff in enumerate(self.stencil):
             out[offset:offset + m] += coeff * u
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix, for small-problem oracles only."""
-        if self.n > _DENSE_LIMIT:
-            raise ValueError(f"refusing to densify a {self.rows}x{self.n} operator")
-        out = np.zeros((self.rows, self.n))
-        rows = np.arange(self.rows)
-        for offset, coeff in enumerate(self.stencil):
-            out[rows, rows + offset] = coeff
         return out
 
 
@@ -140,16 +127,6 @@ class BandedSymMatrix:
         bands = self.bands.copy()
         bands[0] += d
         return BandedSymMatrix(self.n, self.bandwidth, bands)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix, for small-problem oracles only."""
-        if self.n > _DENSE_LIMIT:
-            raise ValueError(f"refusing to densify a {self.n}x{self.n} banded matrix")
-        out = np.diag(self.bands[0])
-        for k in range(1, self.bandwidth + 1):
-            d = self.bands[k, : self.n - k]
-            out += np.diag(d, -k) + np.diag(d, k)
-        return out
 
 
 def _row_gram(stencils, rows: int, width: int) -> BandedSymMatrix:

@@ -4,8 +4,12 @@ Data flows through two-column CSV files (``date,value`` with ISO dates
 or integer indices) and JSON report documents. Exit codes are stable:
 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
-An optional ``--config`` file holds ``key = value`` lines (keys match
-the long flag names with underscores); explicit flags override it.
+An optional ``--config`` file holds ``key = value`` lines, read by the
+command's own parser. A key is a long flag name (``n_grid`` or ``n-grid``
+for ``--n-grid``; ``lam`` also names ``--lambda``) and its value is parsed
+as that flag parses it; ``true`` and ``false`` turn a switch on and off.
+Explicit flags win over the file. A flag given neither way is not passed
+on, so the library's own default applies.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import csv
 import datetime
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +156,10 @@ def write_report(path, document):
         fh.write("\n")
 
 
-def load_config(path):
-    """Parse ``key = value`` lines; values become int, float, bool, or str."""
-    values = {}
+def load_config(path) -> list:
+    """Turn ``key = value`` lines into flag tokens for the command's parser:
+    ``--key=value``, the bare switch ``--key`` for ``true``, none for ``false``."""
+    tokens = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -165,45 +170,18 @@ def load_config(path):
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        raw = raw.strip()
-        if raw.lower() in ("true", "false"):
-            values[key] = raw.lower() == "true"
-            continue
-        for cast in (int, float):
-            try:
-                values[key] = cast(raw)
-                break
-            except ValueError:
-                continue
-        else:
-            values[key] = raw
-    if "lambda" in values:  # the --lambda flag parses to the 'lam' key
-        values["lam"] = values.pop("lambda")
-    return values
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        flag = "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+        if value.lower() == "true":
+            tokens.append(flag)
+        elif value.lower() != "false":
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-_FILTER_DEFAULTS = dict(
-    kind="l1t", lam=None, lambda1=None, lambda2=None, lambda_max_fraction=None,
-    auto=False, order=2, column=None, standardize=False, tol=1e-8, max_iter=200,
-    t1=400, t2=50, m=12, p=12, n_grid=15,
-    out=None, report=None,
-)
-_CALIBRATE_DEFAULTS = dict(
-    t1=400, t2=50, t3=None, m=12, p=12, n_grid=15, order=2, column=None,
-    report=None, errors_out=None,
-)
-_SIMULATE_DEFAULTS = dict(
-    model=1, n=2000, p=None, b=None, sigma=None, theta=None, seed=0, out=None,
-)
-_BACKTEST_DEFAULTS = dict(
-    model="l1-global", rate=0.0, rates=None, column=None,
-    risk_aversion=1.0, alpha_min=-1.0, alpha_max=1.0, vol_window=130,
-    t1=520, t2=130, t3=520, cv_m=3, cv_p=3, n_grid=15,
-    ma_window=None, hp_lambda=None,
-    out=None, report=None,
-)
+def _given(cls, args) -> dict:
+    """The fields of dataclass ``cls`` that the flags or the config file set."""
+    return {f.name: args[f.name] for f in fields(cls) if f.name in args}
 
 
 def _out_path(args, key, input_path, suffix):
@@ -211,26 +189,22 @@ def _out_path(args, key, input_path, suffix):
     return Path(given) if given else Path(input_path).with_suffix(suffix)
 
 
-def _resolve_lambda(series, args):
+def _resolve_lambda(values, order, args):
     """Penalty weight from --lambda, --lambda-max-fraction, or --auto."""
-    order = args["order"]
-    explicit = args.get("lam")
-    if explicit is not None:
-        return float(explicit), {"selection": "explicit"}
-    fraction = args.get("lambda_max_fraction")
-    if fraction is not None:
-        ceiling = calibration.lambda_max(series.values, order)
-        return float(fraction) * ceiling, {
+    if "lam" in args:
+        return args["lam"], {"selection": "explicit"}
+    if "lambda_max_fraction" in args:
+        fraction = args["lambda_max_fraction"]
+        ceiling = calibration.lambda_max(values, order)
+        return fraction * ceiling, {
             "selection": "lambda-max-fraction",
             "lambda_max": ceiling,
-            "fraction": float(fraction),
+            "fraction": fraction,
         }
     if args.get("auto"):
-        cfg = calibration.CVConfig(
-            T1=args["t1"], T2=args["t2"], m=args["m"], p=args["p"],
-            n_grid=args["n_grid"], order=order,
-        )
-        report = calibration.cv_filter(series.values, cfg)
+        # --order is the hp filter's; the kind fixes the order cross-validated
+        cfg = calibration.CVConfig(**{**_given(calibration.CVConfig, args), "order": order})
+        report = calibration.cv_filter(values, cfg)
         return report.lambda_star, {
             "selection": "cross-validation",
             "grid": report.grid,
@@ -241,54 +215,43 @@ def _resolve_lambda(series, args):
 
 def cmd_filter(args) -> int:
     kind = args["kind"]
-    if kind not in ("hp", "l1t", "l1c", "l1tc", "l1t-multi"):
-        raise UsageError(f"unknown filter kind {args['kind']!r}")
     input_path = args["input"]
+    options = {key: args[key] for key in ("tol", "max_iter") if key in args}
 
     if kind == "l1t-multi":
         times, columns = read_table(input_path)
         names = sorted(columns)
         rows = [columns[name] for name in names]
-        args["order"] = 2
-        data = np.vstack(rows)
-        if args["standardize"]:
-            stds = data.std(axis=1)
-            if np.any(stds == 0):
-                bad = names[int(np.flatnonzero(stds == 0)[0])]
-                raise DataError(f"column {bad!r} is constant; cannot standardize")
-            # resolve the weight on the same standardized scale the fit uses
-            data = (data - data.mean(axis=1)[:, None]) / stds[:, None]
-        mean_series = Series(times, data.mean(axis=0), name="mean")
-        lam, selection = _resolve_lambda(mean_series, args)
-        result = filters.l1t_multivariate(
-            rows, lam, standardize=args["standardize"], tol=args["tol"],
-            max_iter=args["max_iter"],
-        )
+        order = 2
+        if args.get("standardize"):
+            options["standardize"] = True
+            for name in names:
+                if columns[name].std() == 0:
+                    raise DataError(f"column {name!r} is constant; cannot standardize")
+        # a zero weight returns the (standardized) cross-sectional mean unsolved
+        mean = filters.l1t_multivariate(rows, 0.0, **options).observed
+        lam, selection = _resolve_lambda(mean, order, args)
+        result = filters.l1t_multivariate(rows, lam, **options)
         observed = result.observed
     else:
-        args["order"] = {"l1t": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
+        order = {"l1t": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
         series = ingest_csv(input_path, column=args.get("column"))
         observed = series.values
         times = series.times
         if kind == "l1tc":
-            lam1, lam2 = args.get("lambda1"), args.get("lambda2")
-            if lam1 is None or lam2 is None:
+            if "lambda1" not in args or "lambda2" not in args:
                 raise UsageError("l1tc needs both --lambda1 and --lambda2")
-            lam, selection = (float(lam1), float(lam2)), {"selection": "explicit"}
-            result = filters.l1tc_filter(series.values, lam[0], lam[1],
-                                         tol=args["tol"], max_iter=args["max_iter"])
+            lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
+            result = filters.l1tc_filter(observed, *lam, **options)
         else:
             if kind == "hp" and args.get("auto"):
                 raise UsageError("--auto cross-validates the L1 filters; "
                                  "give --lambda for hp")
-            lam, selection = _resolve_lambda(series, args)
+            lam, selection = _resolve_lambda(observed, order, args)
             if kind == "hp":
-                result = filters.hp_filter(series.values, lam, order=args["order"])
+                result = filters.hp_filter(observed, lam, order=order)
             else:
-                result = filters.l1_filter(
-                    series.values, lam, order=args["order"], tol=args["tol"],
-                    max_iter=args["max_iter"],
-                )
+                result = filters.l1_filter(observed, lam, order=order, **options)
 
     out_path = _out_path(args, "out", input_path, ".trend.csv")
     write_csv(out_path, times, [("observed", observed), ("trend", result.trend)])
@@ -308,7 +271,7 @@ def cmd_filter(args) -> int:
         document["breaks_order1"] = filters.detect_breaks(result, 1)
         document["breaks_order2"] = filters.detect_breaks(result, 2)
     else:
-        document["breaks"] = filters.detect_breaks(result, args["order"])
+        document["breaks"] = filters.detect_breaks(result, order)
     write_report(_out_path(args, "report", input_path, ".filter-report.json"), document)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -317,10 +280,7 @@ def cmd_filter(args) -> int:
 def cmd_calibrate(args) -> int:
     input_path = args["input"]
     series = ingest_csv(input_path, column=args.get("column"))
-    cfg = calibration.CVConfig(
-        T1=args["t1"], T2=args["t2"], T3=args["t3"],
-        m=args["m"], p=args["p"], n_grid=args["n_grid"], order=args["order"],
-    )
+    cfg = calibration.CVConfig(**_given(calibration.CVConfig, args))
     report = calibration.cv_filter(series.values, cfg)
 
     errors_path = _out_path(args, "errors_out", input_path, ".cv-errors.csv")
@@ -331,8 +291,7 @@ def cmd_calibrate(args) -> int:
             writer.writerow([_fmt(lam), _fmt(err)])
 
     document = {
-        "config": {"T1": cfg.T1, "T2": cfg.T2, "T3": cfg.T3, "m": cfg.m,
-                   "p": cfg.p, "n_grid": cfg.n_grid, "order": cfg.order},
+        "config": asdict(cfg),
         "grid": report.grid,
         "errors": report.errors,
         "fold_errors": report.fold_errors,
@@ -346,29 +305,21 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+# model -> (generator, the columns it writes)
+_SIMULATORS = {
+    1: (synth.simulate_model1, ("trend", "observed")),
+    2: (lambda params: [synth.simulate_model2(params).values], ("value",)),
+    3: (synth.simulate_model3, ("trend", "observed")),
+    4: (synth.simulate_model4, ("trend", "observed")),
+}
+
+
 def cmd_simulate(args) -> int:
     model = args["model"]
-    if model not in (1, 2, 3, 4):
-        raise UsageError(f"model must be 1, 2, 3, or 4, got {model}")
-    overrides = {"n": args["n"], "seed": args["seed"]}
-    for key in ("p", "b", "sigma", "theta"):
-        if args.get(key) is not None:
-            overrides[key] = args[key]
-    params = synth.default_params(model, **overrides)
+    params = synth.default_params(model, **_given(synth.ModelParams, args))
+    simulate, names = _SIMULATORS[model]
     out_path = Path(args["out"]) if args.get("out") else Path(f"model{model}.csv")
-    times = np.arange(params.n)
-    if model == 1:
-        x, y = synth.simulate_model1(params)
-        write_csv(out_path, times, [("trend", x), ("observed", y)])
-    elif model == 2:
-        series = synth.simulate_model2(params)
-        write_csv(out_path, times, [("value", series.values)])
-    elif model == 3:
-        x, y = synth.simulate_model3(params)
-        write_csv(out_path, times, [("trend", x), ("observed", y)])
-    else:
-        x, y = synth.simulate_model4(params)
-        write_csv(out_path, times, [("trend", x), ("observed", y)])
+    write_csv(out_path, np.arange(params.n), list(zip(names, simulate(params))))
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -376,21 +327,11 @@ def cmd_simulate(args) -> int:
 def cmd_backtest(args) -> int:
     input_path = args["input"]
     prices = ingest_csv(input_path, column=args.get("column"))
-    rates = float(args["rate"])
+    rates = {"rates": args["rate"]} if "rate" in args else {}
     if args.get("rates"):
-        rates = ingest_csv(args["rates"])
-    cfg = strategy.StrategyConfig(
-        trend_model=args["model"],
-        risk_aversion=args["risk_aversion"],
-        alpha_min=args["alpha_min"],
-        alpha_max=args["alpha_max"],
-        vol_window=args["vol_window"],
-        T1=args["t1"], T2=args["t2"], T3=args["t3"],
-        cv_m=args["cv_m"], cv_p=args["cv_p"], n_grid=args["n_grid"],
-        ma_window=args.get("ma_window"),
-        hp_lambda=args.get("hp_lambda"),
-    )
-    report = strategy.run_backtest(prices, rates, cfg)
+        rates["rates"] = ingest_csv(args["rates"])
+    cfg = strategy.StrategyConfig(**_given(strategy.StrategyConfig, args))
+    report = strategy.run_backtest(prices, cfg=cfg, **rates)
 
     out_path = _out_path(args, "out", input_path, ".wealth.csv")
     write_csv(out_path, report.wealth.times, [
@@ -416,100 +357,80 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=argparse.SUPPRESS,
-                     help="key = value file overriding defaults")
+def _flags(sub, cast, *names):
+    """One flag per config field, named after it: T1 as --t1, n_grid as --n-grid."""
+    for name in names:
+        sub.add_argument("--" + name.lower().replace("_", "-"), dest=name, type=cast)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="trendkit", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    f = commands.add_parser("filter", help="extract a trend from a CSV series")
+    def command(name, func, summary):
+        # a flag the user does not give stays out of the parsed arguments
+        sub = commands.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sub.set_defaults(func=func)
+        return sub
+
+    f = command("filter", cmd_filter, "extract a trend from a CSV series")
     f.add_argument("input")
     f.add_argument("--kind", choices=["hp", "l1t", "l1c", "l1tc", "l1t-multi"],
-                   default=argparse.SUPPRESS)
-    f.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS)
-    f.add_argument("--lambda1", type=float, default=argparse.SUPPRESS)
-    f.add_argument("--lambda2", type=float, default=argparse.SUPPRESS)
-    f.add_argument("--lambda-max-fraction", type=float, default=argparse.SUPPRESS)
-    f.add_argument("--auto", action="store_true", default=argparse.SUPPRESS,
-                   help="pick lambda by cross-validation")
-    f.add_argument("--order", type=int, choices=[1, 2], default=argparse.SUPPRESS,
+                   default="l1t")
+    f.add_argument("--lambda", dest="lam", type=float)
+    f.add_argument("--lambda1", type=float)
+    f.add_argument("--lambda2", type=float)
+    f.add_argument("--lambda-max-fraction", type=float)
+    f.add_argument("--auto", action="store_true", help="pick lambda by cross-validation")
+    f.add_argument("--order", type=int, choices=[1, 2], default=2,
                    help="difference order for --kind hp")
-    f.add_argument("--column", default=argparse.SUPPRESS)
-    f.add_argument("--standardize", action="store_true", default=argparse.SUPPRESS)
-    f.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    f.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
-    for name in ("--t1", "--t2", "--m", "--p", "--n-grid"):
-        f.add_argument(name, type=int, default=argparse.SUPPRESS)
-    f.add_argument("--out", default=argparse.SUPPRESS)
-    f.add_argument("--report", default=argparse.SUPPRESS)
-    _add_common(f)
-    f.set_defaults(func=cmd_filter, defaults=_FILTER_DEFAULTS)
+    f.add_argument("--column")
+    f.add_argument("--standardize", action="store_true")
+    f.add_argument("--tol", type=float)
+    f.add_argument("--max-iter", type=int)
+    _flags(f, int, "T1", "T2", "m", "p", "n_grid")
+    f.add_argument("--out")
+    f.add_argument("--report")
 
-    c = commands.add_parser("calibrate", help="cross-validate the penalty weight")
+    c = command("calibrate", cmd_calibrate, "cross-validate the penalty weight")
     c.add_argument("input")
-    for name in ("--t1", "--t2", "--t3", "--m", "--p", "--n-grid"):
-        c.add_argument(name, type=int, default=argparse.SUPPRESS)
-    c.add_argument("--order", type=int, choices=[1, 2], default=argparse.SUPPRESS)
-    c.add_argument("--column", default=argparse.SUPPRESS)
-    c.add_argument("--report", default=argparse.SUPPRESS)
-    c.add_argument("--errors-out", default=argparse.SUPPRESS)
-    _add_common(c)
-    c.set_defaults(func=cmd_calibrate, defaults=_CALIBRATE_DEFAULTS)
+    _flags(c, int, "T1", "T2", "T3", "m", "p", "n_grid")
+    c.add_argument("--order", type=int, choices=[1, 2])
+    c.add_argument("--column")
+    c.add_argument("--report")
+    c.add_argument("--errors-out")
 
-    s = commands.add_parser("simulate", help="generate a benchmark process")
-    s.add_argument("--model", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--p", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--b", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--sigma", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--theta", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--out", default=argparse.SUPPRESS)
-    _add_common(s)
-    s.set_defaults(func=cmd_simulate, defaults=_SIMULATE_DEFAULTS)
+    s = command("simulate", cmd_simulate, "generate a benchmark process")
+    s.add_argument("--model", type=int, choices=list(_SIMULATORS), default=1)
+    _flags(s, int, "n", "seed")
+    _flags(s, float, "p", "b", "sigma", "theta")
+    s.add_argument("--out")
 
-    b = commands.add_parser("backtest", help="walk-forward momentum backtest")
+    b = command("backtest", cmd_backtest, "walk-forward momentum backtest")
     b.add_argument("input")
-    b.add_argument("--model", choices=list(strategy.TREND_MODELS),
-                   default=argparse.SUPPRESS)
-    b.add_argument("--rate", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--rates", default=argparse.SUPPRESS,
-                   help="CSV of per-period risk-free rates")
-    b.add_argument("--column", default=argparse.SUPPRESS)
-    b.add_argument("--risk-aversion", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--alpha-min", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--alpha-max", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--vol-window", type=int, default=argparse.SUPPRESS)
-    for name in ("--t1", "--t2", "--t3", "--cv-m", "--cv-p", "--n-grid",
-                 "--ma-window"):
-        b.add_argument(name, type=int, default=argparse.SUPPRESS)
-    b.add_argument("--hp-lambda", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--out", default=argparse.SUPPRESS)
-    b.add_argument("--report", default=argparse.SUPPRESS)
-    _add_common(b)
-    b.set_defaults(func=cmd_backtest, defaults=_BACKTEST_DEFAULTS)
+    b.add_argument("--model", dest="trend_model", choices=list(strategy.TREND_MODELS))
+    b.add_argument("--rate", type=float)
+    b.add_argument("--rates", help="CSV of per-period risk-free rates")
+    b.add_argument("--column")
+    _flags(b, float, "risk_aversion", "alpha_min", "alpha_max")
+    _flags(b, int, "vol_window", "T1", "T2", "T3", "cv_m", "cv_p", "n_grid", "ma_window")
+    _flags(b, float, "hp_lambda")
+    b.add_argument("--out")
+    b.add_argument("--report")
 
+    for sub in (f, c, s, b):
+        sub.add_argument("--config", help="file of key = value flags; explicit flags win")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        namespace = build_parser().parse_args(argv)
-        explicit = vars(namespace)
-        func = explicit.pop("func")
-        defaults = explicit.pop("defaults")
-        explicit.pop("command")
-        config_values = {}
-        if "config" in explicit:
-            config_values = load_config(explicit.pop("config"))
-            unknown = set(config_values) - set(defaults)
-            if unknown:
-                raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged = {**defaults, **config_values, **explicit}
-        return func(merged)
+        parser = build_parser()
+        args = vars(parser.parse_args(argv))
+        if "config" in args:  # the file's flags go first, so explicit ones win
+            args = vars(parser.parse_args(argv[:1] + load_config(args["config"]) + argv[1:]))
+        return args.pop("func")(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

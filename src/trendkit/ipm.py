@@ -151,62 +151,65 @@ def solve_box_qp(problem: BoxQP, tol: float = 1e-8, max_iter: int = 200) -> IpmS
     """Minimize the box QP to surrogate-gap and KKT tolerance ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = problem.dim
-    m = 2 * p
-    state = initial_state(problem)
-    gaps = [surrogate_gap(state)]
-    iterations = 0
-    tau = MU_MULT * m / gaps[0]
+    # Once a slack rounds to zero the Newton system is non-finite and the
+    # loop raises ConvergenceError; numpy's warnings would only repeat that.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = problem.dim
+        m = 2 * p
+        state = initial_state(problem)
+        gaps = [surrogate_gap(state)]
+        iterations = 0
+        tau = MU_MULT * m / gaps[0]
 
-    while True:
-        eta = gaps[-1]
-        converged = eta <= tol and float(np.max(np.abs(state.r_dual))) <= tol
-        if converged or iterations >= max_iter:
-            break
-
-        tau = MU_MULT * m / eta
-        res = residual(state, tau)
-        try:
-            d_nu, d_mu_hi, d_mu_lo = newton_step(problem, state, res)
-        except ValueError as exc:  # band_solve's finiteness check
-            raise ConvergenceError(f"non-finite Newton system in iteration "
-                                   f"{iterations + 1}") from exc
-
-        base_norm = np.linalg.norm(res)
-        # Largest step keeping the multipliers positive and nu strictly in
-        # the box. Python's min ignores a NaN ratio, and with it that pair.
-        alpha = 1.0 / BOUNDARY_FRACTION
-        for value, rate in ((state.mu_hi, -d_mu_hi), (state.mu_lo, -d_mu_lo),
-                            (state.s_hi, d_nu), (state.s_lo, -d_nu)):
-            ratios = np.divide(value, rate, out=np.full(p, np.inf), where=rate > 0)
-            alpha = min(alpha, ratios.min())
-        alpha = min(1.0, BOUNDARY_FRACTION * alpha)
-
-        while alpha >= MIN_STEP:
-            trial = IpmState.at(problem, state.nu + alpha * d_nu,
-                                state.mu_hi + alpha * d_mu_hi,
-                                state.mu_lo + alpha * d_mu_lo)
-            decrease = 1.0 - BACKTRACK_SLOPE * alpha
-            # Endgame: once the dual residual sits at its rounding floor the
-            # stacked norm cannot shrink further, but a centering step that
-            # stays dual-feasible and strictly reduces the gap is still
-            # progress toward the termination test.
-            if (np.linalg.norm(residual(trial, tau)) <= decrease * base_norm
-                    or (np.max(np.abs(trial.r_dual)) <= tol
-                        and surrogate_gap(trial) <= decrease * eta)):
-                state = trial
+        while True:
+            eta = gaps[-1]
+            converged = eta <= tol and float(np.max(np.abs(state.r_dual))) <= tol
+            if converged or iterations >= max_iter:
                 break
-            alpha *= BACKTRACK_STEP
-        else:
-            break  # stalled; report the best iterate below
-        iterations += 1
-        gaps.append(surrogate_gap(state))
 
-    return IpmSolution(
-        nu_star=state.nu,
-        iterations=iterations,
-        duality_gap=eta,
-        kkt_residual=float(np.max(np.abs(residual(state, tau)))),
-        converged=converged,
-        gap_history=np.asarray(gaps),
-    )
+            tau = MU_MULT * m / eta
+            res = residual(state, tau)
+            try:
+                d_nu, d_mu_hi, d_mu_lo = newton_step(problem, state, res)
+            except ValueError as exc:  # band_solve's finiteness check
+                raise ConvergenceError(f"non-finite Newton system in iteration "
+                                       f"{iterations + 1}") from exc
+
+            base_norm = np.linalg.norm(res)
+            # Largest step keeping the multipliers positive and nu strictly in
+            # the box. Python's min ignores a NaN ratio, and with it that pair.
+            alpha = 1.0 / BOUNDARY_FRACTION
+            for value, rate in ((state.mu_hi, -d_mu_hi), (state.mu_lo, -d_mu_lo),
+                                (state.s_hi, d_nu), (state.s_lo, -d_nu)):
+                ratios = np.divide(value, rate, out=np.full(p, np.inf), where=rate > 0)
+                alpha = min(alpha, ratios.min())
+            alpha = min(1.0, BOUNDARY_FRACTION * alpha)
+
+            while alpha >= MIN_STEP:
+                trial = IpmState.at(problem, state.nu + alpha * d_nu,
+                                    state.mu_hi + alpha * d_mu_hi,
+                                    state.mu_lo + alpha * d_mu_lo)
+                decrease = 1.0 - BACKTRACK_SLOPE * alpha
+                # Endgame: once the dual residual sits at its rounding floor the
+                # stacked norm cannot shrink further, but a centering step that
+                # stays dual-feasible and strictly reduces the gap is still
+                # progress toward the termination test.
+                if (np.linalg.norm(residual(trial, tau)) <= decrease * base_norm
+                        or (np.max(np.abs(trial.r_dual)) <= tol
+                            and surrogate_gap(trial) <= decrease * eta)):
+                    state = trial
+                    break
+                alpha *= BACKTRACK_STEP
+            else:
+                break  # stalled; report the best iterate below
+            iterations += 1
+            gaps.append(surrogate_gap(state))
+
+        return IpmSolution(
+            nu_star=state.nu,
+            iterations=iterations,
+            duality_gap=eta,
+            kkt_residual=float(np.max(np.abs(residual(state, tau)))),
+            converged=converged,
+            gap_history=np.asarray(gaps),
+        )

@@ -18,6 +18,15 @@ def dense_diff(order, n):
     return np.diff(np.eye(n), n=order, axis=0)
 
 
+def dense_banded(A):
+    """Dense matrix of a BandedSymMatrix, from its stored diagonals."""
+    out = np.diag(A.bands[0])
+    for k in range(1, A.bandwidth + 1):
+        d = A.bands[k, : A.n - k]
+        out += np.diag(d, -k) + np.diag(d, k)
+    return out
+
+
 def dense_lambda_max(y, order):
     """max-norm of (D D')^{-1} D y by a dense solve."""
     D = dense_diff(order, len(y))
@@ -125,7 +134,7 @@ def residual_jacobian(problem, state):
     s_hi = problem.upper - state.nu
     s_lo = state.nu + problem.upper
     J = np.zeros((3 * p, 3 * p))
-    J[:p, :p] = problem.Q.to_dense()
+    J[:p, :p] = dense_banded(problem.Q)
     J[:p, p:2 * p] = np.eye(p)
     J[:p, 2 * p:] = -np.eye(p)
     J[p:2 * p, :p] = np.diag(-state.mu_hi)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trendkit.calibration import lambda_max
 from trendkit.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -190,6 +191,72 @@ class TestFilterCommand:
         cfg = tmp_path / "cfg.txt"
         write_lines(cfg, ["far_out = 1"])
         assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_multivariate_ceiling_fraction_uses_standardized_mean(self, tmp_path):
+        rng = np.random.default_rng(5)
+        f = tmp_path / "panel.csv"
+        write_csv(f, np.arange(90), [
+            (name, scale * rng.normal(size=90).cumsum() + shift)
+            for name, scale, shift in (("a", 1.0, 0.0), ("b", 40.0, 7.0), ("c", 0.2, -3.0))
+        ])
+        assert main([
+            "filter", str(f), "--kind", "l1t-multi", "--standardize",
+            "--lambda-max-fraction", "0.05",
+        ]) == EXIT_OK
+        _, cols = read_table(f)
+        data = np.vstack([cols[name] for name in sorted(cols)])
+        z = (data - data.mean(axis=1)[:, None]) / data.std(axis=1)[:, None]
+        ceiling = lambda_max(z.mean(axis=0), 2)
+        report = json.loads((tmp_path / "panel.filter-report.json").read_text())
+        assert report["selection"] == "lambda-max-fraction"
+        assert report["lambda_max"] == ceiling
+        assert report["lambda"] == 0.05 * ceiling
+
+    def test_multivariate_constant_column_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        f = tmp_path / "panel.csv"
+        write_csv(f, np.arange(40), [
+            ("a", rng.normal(size=40).cumsum()), ("flat", np.full(40, 3.0)),
+        ])
+        code = main([
+            "filter", str(f), "--kind", "l1t-multi", "--standardize", "--lambda", "1",
+        ])
+        assert code == EXIT_DATA
+        assert "'flat'" in capsys.readouterr().err
+
+    def test_numeric_config_value_names_a_column(self, tmp_path):
+        f = tmp_path / "years.csv"
+        write_csv(f, np.arange(30), [("2020", np.arange(30.0)), ("2021", np.ones(30))])
+        cfg = tmp_path / "cfg.txt"
+        write_lines(cfg, ["column = 2020", "lambda = 1"])
+        assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_OK
+        _, cols = read_table(tmp_path / "years.trend.csv")
+        np.testing.assert_array_equal(cols["observed"], np.arange(30.0))
+
+    def test_numeric_config_value_names_an_output(self, tmp_path, monkeypatch):
+        f = self.make_input(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        write_lines(cfg, ["out = 123", "lambda = 1"])
+        monkeypatch.chdir(tmp_path)
+        assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_OK
+        _, cols = read_table(tmp_path / "123")
+        assert "trend" in cols
+
+    def test_config_switch_takes_only_true_or_false(self, tmp_path):
+        f = self.make_input(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        write_lines(cfg, ["auto = no"])
+        assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_config_switches_follow_true_and_false(self, tmp_path):
+        f = self.make_input(tmp_path, n=260)
+        cfg = tmp_path / "cfg.txt"
+        write_lines(cfg, ["auto = TRUE", "standardize = false", "t1 = 60", "t2 = 15",
+                          "m = 3", "p = 3", "n_grid = 4"])
+        assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_OK
+        report = json.loads((tmp_path / "in.filter-report.json").read_text())
+        assert report["selection"] == "cross-validation"
+        assert len(report["grid"]) == 4
 
 
 class TestCalibrateCommand:

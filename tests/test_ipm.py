@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from trendkit.ipm import (
     surrogate_gap,
 )
 
-from oracles import box_qp_bruteforce, residual_jacobian
+from oracles import box_qp_bruteforce, dense_banded, residual_jacobian
 
 
 def _identity_problem(r, upper):
@@ -68,7 +69,7 @@ def test_matches_bruteforce_oracle_on_banded_problems():
         sol = solve_box_qp(problem)
         assert sol.converged
         oracle_obj, _ = box_qp_bruteforce(
-            problem.Q.to_dense(), problem.r, problem.upper
+            dense_banded(problem.Q), problem.r, problem.upper
         )
         assert abs(problem.objective(sol.nu_star) - oracle_obj) <= 1e-6
 
@@ -225,6 +226,15 @@ def test_nonfinite_newton_system_is_convergence_error():
             np.errstate(divide="ignore", invalid="ignore"):
         l1_filter(y, 0.1 * lambda_max(y, 1), order=1)
 
+
+def test_nonfinite_newton_system_fails_without_warnings():
+    # the solver silences numpy's floating-point warnings itself, so the
+    # typed failure is all a caller sees, even with warnings as errors
+    y = 1e3 * np.cumsum(np.random.default_rng(0).standard_normal(40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="non-finite Newton system"):
+            l1_filter(y, 0.1 * lambda_max(y, 1), order=1)
 
 def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     # An exception kept across the retries held the Newton step's frame by
