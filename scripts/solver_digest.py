@@ -190,6 +190,11 @@ def _cli_cases():
     yield "filter-bad-order", [*walk, "--kind", "hp", "--order", "3", "--lambda", "1"]
     yield "filter-negative-weight", [*walk, "--lambda", "-1"]
     yield "filter-unknown-flag", [*walk, "--lambda", "1", "--bogus"]
+    for kind in ("l1t", "l1c", "hp"):
+        for bad in ("inf", "nan"):
+            yield f"filter-{kind}-{bad}-weight", [*walk, "--kind", kind, "--lambda", bad]
+    yield "filter-l1tc-inf-weight", [*walk, "--kind", "l1tc", "--lambda1", "inf",
+                                     "--lambda2", "1"]
     yield "filter-no-input", ["filter"]
     yield "unknown-command", ["explode"]
     # data errors

@@ -122,10 +122,15 @@ class BandedSymMatrix:
         return out
 
     def add_diagonal(self, d) -> "BandedSymMatrix":
-        """Return A + diag(d) with the same band structure."""
-        d = np.asarray(d, dtype=float)
-        bands = self.bands.copy()
-        bands[0] += d
+        """Return A + diag(d) with the same band structure, laid out for
+        :func:`band_solve`: Fortran order, which ``dpbsv`` reads without the
+        transposing copy f2py makes of C-ordered bands, except for a
+        tridiagonal A, whose two rows ``dptsv`` reads as contiguous vectors."""
+        bands = np.empty_like(self.bands, order="C" if self.bandwidth == 1 else "F")
+        np.add(self.bands[0], d, out=bands[0])
+        # row by row: numpy's own transposing copy of a few long rows is slower
+        for k in range(1, self.bandwidth + 1):
+            bands[k] = self.bands[k]
         return BandedSymMatrix(self.n, self.bandwidth, bands)
 
 

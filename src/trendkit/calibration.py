@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .banded import band_solve, diff_operator, gram_banded
 from .errors import InsufficientHistoryError
@@ -470,6 +469,10 @@ def calibrate_l2_spectral(T: int, n_freq: Optional[int] = None) -> float:
     """Least-squares spectral match of the quadratic filter to a width-T
     moving average; the result tracks hp_lambda_for_window within a few
     percent."""
+    # imported here, not at the top: scipy.optimize loads scipy.sparse,
+    # special, fft and spatial, which no other trendkit function needs
+    from scipy.optimize import minimize_scalar
+
     if T < 4:
         raise ValueError(f"window must be at least 4, got {T}")
     if n_freq is None:

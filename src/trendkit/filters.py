@@ -19,6 +19,7 @@ to the dual optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -73,6 +74,14 @@ class FilterResult:
         return len(self.trend)
 
 
+def _check_weight(name: str, lam) -> None:
+    """Reject a penalty weight that is negative, infinite or NaN."""
+    if lam < 0:
+        raise ValueError(f"{name} must be non-negative, got {lam}")
+    if not math.isfinite(lam):
+        raise ValueError(f"{name} must be finite, got {lam}")
+
+
 def _solve_l1_dual(problem: BoxQP, tol: float, max_iter: int) -> IpmSolution:
     solution = solve_box_qp(problem, tol=tol, max_iter=max_iter)
     if not solution.converged:
@@ -92,8 +101,7 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     mean-reverting signals.
     """
     values = as_values(y)
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    _check_weight("lam", lam)
     if lam == 0:
         return FilterResult(values.copy(), None, 0.0, None, values)
     trend = hp_solve(order, lam, values)
@@ -113,8 +121,7 @@ def l1_filter(
     |v| <= lam, with the trend recovered as x = y - D'v.
     """
     values = as_values(y)
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    _check_weight("lam", lam)
     op = diff_operator(order, len(values))
     if lam == 0:
         return FilterResult(values.copy(), np.zeros(op.rows), 0.0, None, values)
@@ -142,8 +149,8 @@ def l1tc_filter(
     second-difference components.
     """
     values = as_values(y)
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("penalty weights must be non-negative")
+    _check_weight("lam1", lam1)
+    _check_weight("lam2", lam2)
     n = len(values)
     op1 = diff_operator(1, n)
     op2 = diff_operator(2, n)

@@ -229,7 +229,26 @@ def test_band_solve_is_bitwise_solveh_banded(bandwidth):
     for n in (bandwidth + 1, bandwidth + 2, 17, 400, 2080):
         A = _random_spd_bands(rng, n, bandwidth)
         b = rng.normal(size=n)
-        assert np.array_equal(band_solve(A, b), scipy.linalg.solveh_banded(A.bands, b, lower=True))
+        expected = scipy.linalg.solveh_banded(A.bands, b, lower=True)
+        assert np.array_equal(band_solve(A, b), expected)
+        F = BandedSymMatrix(n, bandwidth, np.asfortranarray(A.bands))
+        assert np.array_equal(band_solve(F, b), expected)
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 4])
+def test_add_diagonal_lays_bands_out_for_lapack(bandwidth):
+    rng = np.random.default_rng(bandwidth)
+    A = _random_spd_bands(rng, 40, bandwidth)
+    d = rng.random(40)
+    shifted = A.add_diagonal(d)
+    expected = A.bands.copy()
+    expected[0] += d
+    assert np.array_equal(shifted.bands, expected)
+    # dptsv reads the tridiagonal's rows, dpbsv the whole band column-major
+    layout = "C_CONTIGUOUS" if bandwidth == 1 else "F_CONTIGUOUS"
+    assert shifted.bands.flags[layout]
+    assert A.bands.flags["C_CONTIGUOUS"]  # matvec reads Q's rows
+    assert np.array_equal(band_solve(shifted, d), scipy.linalg.solveh_banded(expected, d, lower=True))
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 2])

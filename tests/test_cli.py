@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,27 @@ class TestFilterCommand:
         code = main(["filter", str(f), "--kind", "l1t", "--lambda-max-fraction", "0.1"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [
+        ["--kind", "l1t", "--lambda", "inf"],
+        ["--kind", "l1t", "--lambda", "nan"],
+        ["--kind", "l1c", "--lambda", "inf"],
+        ["--kind", "l1c", "--lambda", "nan"],
+        ["--kind", "hp", "--lambda", "inf"],
+        ["--kind", "hp", "--lambda", "nan"],
+        ["--kind", "l1tc", "--lambda1", "inf", "--lambda2", "1"],
+        ["--kind", "l1tc", "--lambda1", "1", "--lambda2", "nan"],
+        ["--kind", "l1t-multi", "--lambda", "inf"],
+        ["--kind", "l1t", "--lambda-max-fraction", "inf"],
+    ], ids=lambda weights: "_".join(arg.lstrip("-") for arg in weights))
+    def test_nonfinite_weight_is_usage_error(self, tmp_path, capsys, weights):
+        f = self.make_input(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["filter", str(f), *weights]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: lam") and "must be finite" in err
+        assert not (tmp_path / "in.trend.csv").exists()
 
     def test_unknown_kind_is_usage_error(self, tmp_path):
         f = self.make_input(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,25 @@ class TestSeries:
         sub = s.slice(1, 4)
         np.testing.assert_array_equal(sub.values, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(sub.times, [1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call, name", [
+    (lambda y, w: hp_filter(y, w), "lam"),
+    (lambda y, w: hp_filter(y, w, order=1), "lam"),
+    (lambda y, w: l1_filter(y, w, order=1), "lam"),
+    (lambda y, w: l1_filter(y, w, order=2), "lam"),
+    (lambda y, w: l1tc_filter(y, w, 1.0), "lam1"),
+    (lambda y, w: l1tc_filter(y, 1.0, w), "lam2"),
+    (lambda y, w: l1tc_filter(y, w, 0.0), "lam1"),
+    (lambda y, w: l1t_multivariate([y, 2.0 * y], w), "lam"),
+], ids=["hp2", "hp1", "l1o1", "l1o2", "l1tc-lam1", "l1tc-lam2", "l1tc-lam1-only",
+        "multivariate"])
+def test_nonfinite_weight_rejected_by_name(walk, call, name, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(ValueError, match=f"^{name} must be (finite|non-negative), got"):
+            call(walk, bad)
 
 
 @settings(deadline=None, max_examples=25)

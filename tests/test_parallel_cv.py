@@ -13,6 +13,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,11 +144,17 @@ def test_recovers_from_a_killed_worker():
     _assert_same(cv_filter(values, POOLED), expected)
     if calibration._pool is None:
         pytest.skip("no solve pool on a single CPU")
-    victim = next(iter(calibration._pool._processes.values()))
+    pool = calibration._pool
+    victim = next(iter(pool._processes.values()))
     os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=60)
-    assert not victim.is_alive()
+    # Wait for the pool's own verdict: the manager thread may reap the
+    # victim first, and is_alive() can then read True for a dead process.
+    deadline = time.monotonic() + 60
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
     _assert_same(cv_filter(values, POOLED), expected)  # scored in-process
+    assert calibration._pool is None  # the broken pool was dropped
     _assert_same(cv_filter(values, POOLED), expected)  # on a fresh pool
     assert calibration._pool is not None
 
