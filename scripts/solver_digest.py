@@ -129,6 +129,7 @@ def _cli_inputs() -> dict:
     index_rng = np.random.default_rng(0)  # index levels: about 1200, moves about 12
     return {
         "walk.csv": _csv(value=walk),
+        "walk1000.csv": _csv(value=1000 * walk),
         "index.csv": _csv(value=1200 + np.cumsum(12 * index_rng.standard_normal(1008))),
         "reference.csv": _csv(value=model1),
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
@@ -169,7 +170,10 @@ def _cli_cases():
                                 "--max-iter", "100"]
     yield "filter-l1c-fraction", [*walk, "--kind", "l1c", "--lambda-max-fraction", "0.1"]
     yield "filter-l1c-auto", [*walk, "--kind", "l1c", "--auto", *cv]
+    yield "filter-l1c-x1000", ["filter", "walk1000.csv", "--kind", "l1c",
+                               "--lambda-max-fraction", "0.1"]
     yield "filter-l1tc", [*walk, "--kind", "l1tc", "--lambda1", "2", "--lambda2", "20"]
+    yield "filter-l1tc-order1", [*walk, "--kind", "l1tc", "--lambda1", "2", "--lambda2", "0"]
     yield "filter-hp", [*walk, "--kind", "hp", "--lambda", "1600"]
     yield "filter-hp-order1", [*walk, "--kind", "hp", "--order", "1",
                                "--lambda-max-fraction", "0.1"]

@@ -235,10 +235,10 @@ def _hp_factor(order: int, n: int, lam: float):
 def hp_solve(order: int, lam: float, b) -> np.ndarray:
     """Solve (I + 2 lam D'D) x = b, D of the given order, with a factor
     cached per (order, len(b), lam); ``dptsv``/``dpbsv`` are exactly these
-    factor and solve steps, so x is bit for bit :func:`band_solve`'s."""
+    factor and solve steps, so x is bit for bit :func:`band_solve`'s.
+    b must be finite, as :func:`trendkit.series.as_values` makes it."""
     b = np.asarray(b, dtype=float)
     factor = _hp_factor(order, len(b), float(lam))
-    _require_finite(b)
     if order == 1:
         x, info = lapack.dpttrs(*factor, b)
     else:

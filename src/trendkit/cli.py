@@ -350,8 +350,9 @@ def cmd_backtest(args) -> int:
     report_path = _out_path(args, "report", input_path, ".backtest-report.json")
     write_report(report_path, document)
     stats = report.stats
+    vol = "n/a" if stats.volatility_pct is None else f"{stats.volatility_pct:.2f}%"
     print(
-        f"performance {stats.performance_pct:.2f}%  vol {stats.volatility_pct:.2f}%  "
+        f"performance {stats.performance_pct:.2f}%  vol {vol}  "
         f"sharpe {stats.sharpe:.2f}  drawdown {stats.max_drawdown_pct:.2f}%"
     )
     return EXIT_OK

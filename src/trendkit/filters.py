@@ -11,7 +11,8 @@ penalty on discrete derivatives of the fitted trend.
 * ``l1t_multivariate`` common piecewise-linear trend of several series
 * ``detect_breaks``   positions where the fitted trend changes regime
 
-Each L1 variant is solved through its dual: a box-constrained QP in the
+The order-1 L1 filter is solved exactly by :mod:`trendkit.tv`. Every
+other L1 variant is solved through its dual: a box-constrained QP in the
 split variables, handed to :mod:`trendkit.ipm`, with the primal trend
 recovered as the data minus the transposed difference operator applied
 to the dual optimum.
@@ -31,6 +32,7 @@ from .banded import (
 from .errors import ConvergenceError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
+from .tv import tv_denoise
 
 __all__ = [
     "FilterResult",
@@ -117,14 +119,28 @@ def l1_filter(
 ) -> FilterResult:
     """L1 trend filter: minimize 1/2 ||y - x||^2 + lam * ||D x||_1.
 
-    Solved through the dual box QP min 1/2 v'DD'v - (Dy)'v over
-    |v| <= lam, with the trend recovered as x = y - D'v.
+    Order 2 is solved through the dual box QP min 1/2 v'DD'v - (Dy)'v
+    over |v| <= lam, with the trend recovered as x = y - D'v. Order 1 is
+    solved exactly by :func:`trendkit.tv.tv_denoise`, which reports no
+    iterations and ignores ``max_iter``; ``tol`` bounds the duality gap
+    of its certificate in both cases.
     """
     values = as_values(y)
     _check_weight("lam", lam)
     op = diff_operator(order, len(values))
     if lam == 0:
         return FilterResult(values.copy(), np.zeros(op.rows), 0.0, None, values)
+    if order == 1:
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        trend, nu, gap, residual = tv_denoise(values, float(lam))
+        solution = IpmSolution(nu, 0, gap, residual, gap <= tol)
+        if not solution.converged:
+            raise ConvergenceError(
+                f"direct order-1 solve left duality gap {gap:.3e} above {tol:g}",
+                diagnostics=solution,
+            )
+        return FilterResult(trend, nu, float(lam), solution, values)
     problem = BoxQP(
         Q=gram_banded(op),
         r=op.apply(values),

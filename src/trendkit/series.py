@@ -59,10 +59,14 @@ class Series:
 
 
 def as_values(y) -> np.ndarray:
-    """Accept a Series or any 1-d array-like and return a float vector."""
+    """Accept a Series or any 1-d array-like of finite values and return a
+    float vector."""
     if isinstance(y, Series):
         return y.values
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1:
         raise DataError("expected a one-dimensional signal")
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise DataError(f"non-finite value at position {bad}")
     return arr

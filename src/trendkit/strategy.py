@@ -99,7 +99,7 @@ class StrategyConfig:
 @dataclass(frozen=True)
 class PerformanceStats:
     performance_pct: float
-    volatility_pct: float
+    volatility_pct: Optional[float]
     sharpe: float
     information_ratio: Optional[float]
     max_drawdown_pct: float
@@ -313,7 +313,9 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
 
     Annualization uses 260 trading days. The information ratio compares
     per-period log returns against the benchmark's and is 0 by
-    convention when the excess-return series is identically zero.
+    convention when the excess-return series is identically zero. A
+    single return has no sample spread, so volatility and the
+    information ratio are then None and the Sharpe ratio is 0.
     """
     w = as_values(wealth)
     if len(w) < 2:
@@ -325,9 +327,11 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
     years = periods / TRADING_DAYS_PER_YEAR
     ann_return = (w[-1] / w[0]) ** (1.0 / years) - 1.0
     log_rets = np.diff(np.log(w))
-    ann_vol = float(np.std(log_rets, ddof=1)) * np.sqrt(TRADING_DAYS_PER_YEAR)
+    ann_vol = None
+    if periods > 1:
+        ann_vol = float(np.std(log_rets, ddof=1)) * np.sqrt(TRADING_DAYS_PER_YEAR)
     ann_rf = (1.0 + rate) ** TRADING_DAYS_PER_YEAR - 1.0
-    sharpe = (ann_return - ann_rf) / ann_vol if ann_vol > 0 else 0.0
+    sharpe = (ann_return - ann_rf) / ann_vol if ann_vol else 0.0
 
     information_ratio = None
     if benchmark is not None:
@@ -335,10 +339,10 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
         if len(b) != len(w):
             raise ValueError("benchmark length must match the wealth path")
         excess = log_rets - np.diff(np.log(b))
-        spread = float(np.std(excess, ddof=1))
+        spread = float(np.std(excess, ddof=1)) if periods > 1 else None
         if spread == 0.0:
             information_ratio = 0.0
-        else:
+        elif spread is not None:
             information_ratio = float(
                 np.mean(excess) * np.sqrt(TRADING_DAYS_PER_YEAR) / spread
             )
@@ -348,7 +352,7 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
 
     return PerformanceStats(
         performance_pct=float(ann_return) * 100.0,
-        volatility_pct=ann_vol * 100.0,
+        volatility_pct=None if ann_vol is None else ann_vol * 100.0,
         sharpe=float(sharpe),
         information_ratio=information_ratio,
         max_drawdown_pct=max_dd,

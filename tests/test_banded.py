@@ -14,7 +14,8 @@ from trendkit.banded import (
     interleave,
     tc_gram_banded,
 )
-from trendkit.errors import NotPositiveDefiniteError
+from trendkit.errors import DataError, NotPositiveDefiniteError
+from trendkit.filters import hp_filter
 
 from oracles import dense_banded, dense_diff
 
@@ -280,9 +281,10 @@ def test_hp_solve_reuses_a_bitwise_factor(order):
         y = np.cumsum(rng.normal(size=520))
         A = hp_banded(diff_operator(order, 520), lam)
         assert np.array_equal(hp_solve(order, lam, y), band_solve(A, y))
+    # hp_solve trusts its caller: hp_filter rejects non-finite data first
     y[5] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        hp_solve(order, lam, y)
+    with pytest.raises(DataError, match="non-finite value at position 5"):
+        hp_filter(y, lam, order=order)
 
 
 def test_matvec_matches_dense():

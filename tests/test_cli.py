@@ -190,6 +190,14 @@ class TestFilterCommand:
         write_lines(f, ["date,value", "0,oops"])
         assert main(["filter", str(f), "--kind", "l1t", "--lambda", "1"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("kind", ["l1t", "l1c", "hp"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_value_is_data_error(self, tmp_path, capsys, kind, bad):
+        f = tmp_path / "in.csv"
+        write_lines(f, ["date,value", "0,1.0", f"1,{bad}", "2,3.0", "3,2.0"])
+        assert main(["filter", str(f), "--kind", kind, "--lambda", "1"]) == EXIT_DATA
+        assert "non-finite value at position 1" in capsys.readouterr().err
+
     def test_config_file_overridden_by_flags(self, tmp_path):
         f = self.make_input(tmp_path)
         cfg = tmp_path / "cfg.txt"
@@ -360,6 +368,26 @@ class TestBacktestCommand:
         _, cols = read_table(tmp_path / "prices.wealth.csv")
         np.testing.assert_array_equal(cols["wealth"], np.ones(len(cols["wealth"])))
         np.testing.assert_array_equal(cols["alpha"], np.zeros(len(cols["alpha"])))
+
+    def test_single_return_report_is_strict_json(self, tmp_path, capsys):
+        # 22 prices at a 20-day window trade on one day: one return has no
+        # sample spread, so volatility is null, not NaN
+        f = tmp_path / "p.csv"
+        log_p = np.cumsum(0.01 * np.random.default_rng(3).standard_normal(22))
+        write_csv(f, np.arange(22), [("value", 100.0 * np.exp(log_p))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--vol-window", "20",
+                         "--ma-window", "20"]) == EXIT_OK
+        assert "vol n/a" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "p.backtest-report.json").read_text()
+        stats = json.loads(text, parse_constant=reject)["stats"]
+        assert stats["volatility_pct"] is None
+        assert stats["information_ratio"] is None
 
     def test_stats_recomputable_from_wealth_csv(self, tmp_path):
         rng = np.random.default_rng(6)

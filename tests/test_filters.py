@@ -311,6 +311,25 @@ def test_nonfinite_weight_rejected_by_name(walk, call, name, bad):
             call(walk, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda y: hp_filter(y, 5.0),
+    lambda y: hp_filter(y, 5.0, order=1),
+    lambda y: l1_filter(y, 1.0, order=1),
+    lambda y: l1_filter(y, 1.0, order=2),
+    lambda y: l1tc_filter(y, 1.0, 1.0),
+    lambda y: l1tc_filter(y, 1.0, 0.0),
+    lambda y: l1t_multivariate([2.0 * y, y], 1.0),
+], ids=["hp2", "hp1", "l1o1", "l1o2", "l1tc", "l1tc-lam1-only", "multivariate"])
+def test_nonfinite_data_is_data_error(walk, call, bad):
+    y = walk.copy()
+    y[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(DataError, match="^non-finite value at position 7$"):
+            call(y)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.randoms(use_true_random=False))
 def test_duality_certificate_property(rnd):

@@ -8,7 +8,7 @@ from trendkit import ipm, synth
 from trendkit.banded import BandedSymMatrix, diff_operator, gram_banded
 from trendkit.calibration import lambda_max
 from trendkit.errors import ConvergenceError, NotPositiveDefiniteError
-from trendkit.filters import l1_filter, l1tc_filter
+from trendkit.filters import l1tc_filter
 from trendkit.ipm import (
     BoxQP,
     IpmState,
@@ -219,22 +219,28 @@ def test_one_product_per_line_search_trial(monkeypatch):
         assert Q.products == 1 + trials
 
 
-def test_nonfinite_newton_system_is_convergence_error():
-    # x1000 inputs: a slack rounds to zero before the gap reaches 1e-8
+def _order1_dual_x1000():
+    """The order-1 dual of a x1000 walk, on which a slack rounds to zero
+    before the gap reaches 1e-8 (l1_filter solves order 1 directly)."""
     y = 1e3 * np.cumsum(np.random.default_rng(0).standard_normal(40))
+    op = diff_operator(1, 40)
+    return BoxQP(gram_banded(op), op.apply(y), np.full(op.rows, 0.1 * lambda_max(y, 1)))
+
+
+def test_nonfinite_newton_system_is_convergence_error():
     with pytest.raises(ConvergenceError, match="non-finite Newton system"), \
             np.errstate(divide="ignore", invalid="ignore"):
-        l1_filter(y, 0.1 * lambda_max(y, 1), order=1)
+        solve_box_qp(_order1_dual_x1000())
 
 
 def test_nonfinite_newton_system_fails_without_warnings():
     # the solver silences numpy's floating-point warnings itself, so the
     # typed failure is all a caller sees, even with warnings as errors
-    y = 1e3 * np.cumsum(np.random.default_rng(0).standard_normal(40))
+    problem = _order1_dual_x1000()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="non-finite Newton system"):
-            l1_filter(y, 0.1 * lambda_max(y, 1), order=1)
+            solve_box_qp(problem)
 
 def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     # An exception kept across the retries held the Newton step's frame by

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,16 @@ class TestPerformanceStats:
         w[-1] = 1.10  # one year of 260 periods
         stats = performance_stats(w)
         assert stats.performance_pct == pytest.approx(10.0)
+
+    def test_single_return_has_no_spread(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = performance_stats(np.array([100.0, 101.0]),
+                                      benchmark=np.array([50.0, 49.0]))
+        assert stats.volatility_pct is None
+        assert stats.information_ratio is None
+        assert stats.sharpe == 0.0
+        assert stats.max_drawdown_pct == 0.0
 
     def test_wealth_must_be_positive(self):
         with pytest.raises(ValueError):
