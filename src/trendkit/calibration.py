@@ -19,6 +19,8 @@ ceiling (``lambda_max``), which anchors every selection rule here:
 from __future__ import annotations
 
 import atexit
+import functools
+import math
 import multiprocessing
 import os
 import threading
@@ -286,53 +288,27 @@ def _cv_pool(work: int) -> Optional[ProcessPoolExecutor]:
         return _pool
 
 
-def _score(tasks, order: int):
-    """Squared forecast errors of (train, test, lam) tasks, in order.
-
-    Stops at the first failing solve and returns its exception with the
-    errors before it, so the caller can re-raise the failure a serial
-    loop over every task would have met first.
-    """
-    errors = []
-    for train, test, lam in tasks:
-        try:
-            fitted = l1_filter(train, lam, order=order)
-        except Exception as exc:  # handed to the caller, which re-raises it
-            return errors, exc
-        forecast = forecast_trend(fitted, order, len(test))
-        errors.append(float(np.mean((forecast - test) ** 2)))
-    return errors, None
+def _forecast_error(order: int, task) -> float:
+    """Squared forecast error of one (train, test, lam) task."""
+    train, test, lam = task
+    forecast = forecast_trend(l1_filter(train, lam, order=order), order, len(test))
+    return float(np.mean((forecast - test) ** 2))
 
 
 def _forecast_errors(tasks, order: int, window: int) -> list:
-    """``_score`` over every task, spread over the solve pool if it pays."""
+    """``_forecast_error`` of every task, in order, spread over the solve
+    pool if it pays; the first failing task's exception is raised."""
+    score = functools.partial(_forecast_error, order)
     pool = _cv_pool(len(tasks) * window)
     if pool is not None:
-        # Interleaved chunks mix folds and weights, whose solve costs
-        # differ, so that the workers finish together.
-        n_chunks = min(len(tasks), CHUNKS_PER_WORKER * _pool_workers)
+        chunksize = math.ceil(len(tasks) / (CHUNKS_PER_WORKER * _pool_workers))
         try:
-            results = [f.result() for f in [
-                pool.submit(_score, tasks[c::n_chunks], order)
-                for c in range(n_chunks)
-            ]]
+            return list(pool.map(score, tasks, chunksize=chunksize))
         except BrokenProcessPool:
             # A worker died (e.g. killed for memory): start afresh next
             # time and score this cross-validation in-process.
             _shutdown_pool()
-        else:
-            failed = [c + len(errs) * n_chunks
-                      for c, (errs, exc) in enumerate(results) if exc is not None]
-            if failed:
-                raise results[min(failed) % n_chunks][1]
-            errors = [0.0] * len(tasks)
-            for c, (errs, _) in enumerate(results):
-                errors[c::n_chunks] = errs
-            return errors
-    errors, exc = _score(tasks, order)
-    if exc is not None:
-        raise exc
-    return errors
+    return [score(task) for task in tasks]
 
 
 def cv_filter(y, cfg: CVConfig) -> CVReport:
@@ -343,9 +319,10 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     point is scored by filtering p rolling training windows and
     measuring the squared forecast error over the adjacent test window.
 
-    The n_grid * p solves run on a persistent pool of forked workers, one
-    per CPU the process may use, when there are enough of them to repay
-    the round trip; the report is bit for bit the one-process result.
+    The n_grid * p solves (fold-major, weight-minor) run on a persistent
+    pool of forked workers, one per CPU the process may use, in about
+    CHUNKS_PER_WORKER contiguous chunks each, when they repay the round
+    trips. The report, and the first failure, are the one-process loop's.
     """
     values = as_values(y)
     n = len(values)

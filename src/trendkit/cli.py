@@ -138,21 +138,9 @@ def write_csv(path, times, named_columns):
             writer.writerow([str(t)] + [_fmt(vals[i]) for _, vals in named_columns])
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_report(path, document):
     with open(path, "w") as fh:
-        json.dump(_jsonable(document), fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
 

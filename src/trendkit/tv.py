@@ -17,7 +17,8 @@ Gorinevsky ("l1 Trend Filtering", SIAM Review 2009), in four steps:
 2. **Segment values** from the optimality conditions x = y - D'nu:
    nu = lam * sign(jump) at each jump and 0 at both ends, so a segment
    holds (sum(y_seg) - nu_before + nu_after) / L. The exactly rounded
-   sum's division leaves a remainder, which is kept.
+   sum's division leaves a remainder, which is kept. A jump whose value
+   comes out zero or against its sign is merged into one segment.
 3. **Dual.** Inside a segment nu_i = nu_{i-1} + (x - y_i), summed with
    Neumaier's compensation and the remainder, from exactly +-lam at the
    segment's jump; nu is clipped to [-lam, lam].
@@ -131,14 +132,24 @@ def _fit(y: np.ndarray, lam: float, ends: list, signs: list):
     starts = [0] + [end + 1 for end in ends]
     stops = starts[1:] + [n]
     jumps = [0.0] + [lam * sign for sign in signs] + [0.0]  # nu at each boundary
-    level, low = [], []
-    for s, (start, stop) in enumerate(zip(starts, stops)):
-        terms = y[start:stop].tolist()
-        terms += (-jumps[s], jumps[s + 1])
-        size = stop - start
-        value = math.fsum(terms) / size
+    segments, level, low = [], [], []  # segments: (start, stop, nu before)
+    for start, stop, before, after in zip(starts, stops, jumps, jumps[1:]):
+        while True:
+            terms = y[start:stop].tolist() + [-before, after]
+            size = stop - start
+            value = math.fsum(terms) / size
+            if not segments or (value - level[-1]) * before > 0:
+                break
+            # A lam within rounding of a contact can leave a jump of zero or
+            # the wrong sign, which the exact fit has below rounding: merge.
+            start, _, before = segments.pop()
+            level.pop()
+            low.pop()
+        segments.append((start, stop, before))
         level.append(value)
         low.append(math.fsum(terms + [-value] * size) / size)  # the division's remainder
+    starts, stops, jumps = zip(*segments)
+    ends = [stop - 1 for stop in stops[:-1]]
     sizes = np.subtract(stops, starts)
     x = np.repeat(level, sizes)
     # nu_i - nu_{i-1} = (x + low) - y_i: its rounded value and what rounding lost
@@ -146,7 +157,7 @@ def _fit(y: np.ndarray, lam: float, ends: list, signs: list):
     back = step - x
     lost = (x - (step - back)) + (-y - back) + np.repeat(low, sizes)
     nu = np.empty(n - 1)
-    for start, stop, before in zip(starts, stops, jumps):
+    for start, stop, before in segments:
         out = []
         total, carry = before, 0.0
         for t, e in zip(step[start:stop - 1].tolist(), lost[start:stop - 1].tolist()):
@@ -159,5 +170,5 @@ def _fit(y: np.ndarray, lam: float, ends: list, signs: list):
             out.append(total + carry)
         nu[start:stop - 1] = out
     np.clip(nu, -lam, lam, out=nu)
-    nu[ends] = jumps[1:-1]
+    nu[ends] = jumps[1:]
     return x, nu

@@ -22,6 +22,7 @@ import pytest
 import trendkit
 from trendkit import calibration, errors
 from trendkit.calibration import (
+    CHUNKS_PER_WORKER,
     POOL_MIN_WORK,
     CVConfig,
     _grid_bounds,
@@ -91,7 +92,8 @@ def _outcome(fn, *args):
     (REFERENCE, 1000, 0),
     (REFERENCE, 1000, 7),
     (L1_GLOBAL, _need(L1_GLOBAL) + 11, 0),
-    # a grid solve fails here (ROADMAP item 1), with a bare ValueError
+    # the 30th grid solve fails here (ROADMAP item 1) with
+    # ConvergenceError: non-finite Newton system in iteration 29
     (L1_GLOBAL, _need(L1_GLOBAL) + 11, 3),
 ])
 def test_matches_serial_loop_bit_for_bit(cfg, n, seed):
@@ -124,9 +126,11 @@ def test_convergence_error_keeps_diagnostics_through_pickling():
 
 
 def test_worker_failure_reaches_caller_as_the_serial_loops_first():
-    # A unit walk scaled by 3e4 breaks the solver (see ROADMAP item 1):
-    # its first grid solve stops at the iteration limit, while the 7th
-    # and 8th, first in other chunks, hit a non-finite slack.
+    # A unit walk scaled by 3e4 breaks the solver (see ROADMAP item 1),
+    # and every chunk fails on its first task. On two CPUs the chunks are
+    # 8 contiguous runs of 15 tasks: the first 7 stop at the iteration
+    # limit, the 8th at a non-finite Newton system. The serial loop's
+    # first failure is the first chunk's.
     assert POOLED.n_grid * POOLED.p * POOLED.T1 >= POOL_MIN_WORK
     values = 3e4 * np.cumsum(np.random.default_rng(3).standard_normal(_need(POOLED)))
     with pytest.raises(ConvergenceError) as serial:
@@ -157,6 +161,24 @@ def test_recovers_from_a_killed_worker():
     assert calibration._pool is None  # the broken pool was dropped
     _assert_same(cv_filter(values, POOLED), expected)  # on a fresh pool
     assert calibration._pool is not None
+
+
+def test_pool_round_trips_stay_few(monkeypatch):
+    values = _model1(_need(POOLED) + 5, 5)
+    cv_filter(values, POOLED)  # starts the pool
+    pool = calibration._pool
+    if pool is None:
+        pytest.skip("no solve pool on a single CPU")
+    submitted = []
+    submit = pool.submit
+
+    def counted(*args, **kwargs):
+        submitted.append(args)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "submit", counted)
+    _assert_same(cv_filter(values, POOLED), _serial_cv(values, POOLED))
+    assert 1 <= len(submitted) <= CHUNKS_PER_WORKER * calibration._pool_workers
 
 
 def _cv_in_worker(values, cfg):

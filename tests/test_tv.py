@@ -172,6 +172,19 @@ def test_at_or_above_lambda_max_returns_the_mean(n):
         _certify(y, result, lam)
 
 
+@pytest.mark.parametrize("seed", [64, 113, 382, 401, 433])
+def test_at_the_rounded_ceiling_a_wrong_signed_jump_is_merged(seed):
+    # lambda_max lands within rounding of a contact of the taut string,
+    # and the segment pass reports a jump whose computed size is zero or
+    # of the wrong sign; left in, its gap term is 2 lam |Dx| (about 2e-7).
+    y = _walk(seed, 40, scale=1000.0) + 5e4
+    lam = lambda_max(y, 1)
+    result = l1_filter(y, lam, order=1)
+    _certify(y, result, lam)
+    assert np.all(result.trend == result.trend[0])
+    assert abs(result.trend[0] - y.mean()) <= 4 * EPS * np.max(np.abs(y))
+
+
 def test_mixed_filter_without_second_weight_is_direct():
     y = _walk(3, 500)
     lam = 0.05 * lambda_max(y, 1)
