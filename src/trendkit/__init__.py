@@ -5,15 +5,11 @@ from .calibration import (
     CVConfig,
     CVReport,
     TwoTrendPrediction,
-    calibrate_l2_spectral,
     cv_filter,
-    fit_scaling_exponent,
     forecast_trend,
     hp_lambda_for_window,
     lambda_max,
     predict_two_trend,
-    segment_lambda,
-    spectral_density,
 )
 from .errors import (
     ConvergenceError,

@@ -3,17 +3,13 @@
 The L1 filters degenerate once the penalty weight exceeds a data-driven
 ceiling (``lambda_max``), which anchors every selection rule here:
 
-* ``lambda_max`` / ``segment_lambda``   closed-form order-of-magnitude choices
-* ``fit_scaling_exponent``              empirical growth law of the ceiling
-  with window length (about T^{5/2} for the trend filter and T^{3/2} for
-  the level filter on random-walk input)
-* ``cv_filter``                         rolling-window cross-validation over a
-  geometric grid bracketing the per-window ceilings, its solves spread
-  over every CPU
-* ``predict_two_trend``                 switch between a short-horizon and a
-  long-horizon trend based on how far the data sits from the long one
-* ``hp_lambda_for_window`` and friends  spectral matching of the quadratic
-  filter to a moving average of a given width
+* ``lambda_max``            the closed-form ceiling itself
+* ``cv_filter``             rolling-window cross-validation over a geometric
+  grid bracketing the per-window ceilings, its solves spread over every CPU
+* ``predict_two_trend``     switch between a short-horizon and a long-horizon
+  trend based on how far the data sits from the long one
+* ``hp_lambda_for_window``  the quadratic-filter weight spectrally matched to
+  a moving average of a given width
 """
 
 from __future__ import annotations
@@ -35,27 +31,23 @@ from .banded import band_solve, diff_operator, gram_banded
 from .errors import InsufficientHistoryError
 from .filters import FilterResult, l1_filter
 from .series import as_values
-from .synth import default_params, simulate_model2
 
 __all__ = [
     "CVConfig",
     "CVReport",
     "TwoTrendPrediction",
     "lambda_max",
-    "segment_lambda",
-    "fit_scaling_exponent",
     "cv_filter",
     "forecast_trend",
     "global_cv_config",
     "predict_two_trend",
     "hp_lambda_for_window",
-    "spectral_density",
-    "calibrate_l2_spectral",
     "SPECTRAL_RATIO",
 ]
 
 # Fitted least-squares constant relating the spectral-matched quadratic
-# penalty to the closed-form width match 0.5 * (T / 2pi)^4.
+# penalty to the closed-form width match 0.5 * (T / 2pi)^4
+# (scripts/spectral_match.py fits it).
 SPECTRAL_RATIO = 10.27
 
 
@@ -138,68 +130,6 @@ def lambda_max(y, order: int) -> float:
     op = diff_operator(order, len(values))
     z = band_solve(gram_banded(op), op.apply(values))
     return float(np.max(np.abs(z)))
-
-
-def segment_lambda(y, p: int, order: int) -> float:
-    """Mean of per-segment ceilings over p equal contiguous segments.
-
-    Dividing the sample shortens the windows, which shrinks the ceilings
-    and therefore resolves shorter trends.
-    """
-    values = as_values(y)
-    if p < 1:
-        raise ValueError(f"segment count must be positive, got {p}")
-    n = len(values)
-    base = n // p
-    if base < order + 1:
-        raise InsufficientHistoryError(
-            f"{p} segments of a {n}-sample series are too short for order {order}"
-        )
-    bounds = [i * base for i in range(p)] + [n]
-    return float(np.mean([
-        lambda_max(values[bounds[i]:bounds[i + 1]], order) for i in range(p)
-    ]))
-
-
-def fit_scaling_exponent(
-    order: int,
-    n_sims: int = 100,
-    lengths=(4000, 8000, 16000, 32000),
-    seed: int = 0,
-    p: float = 0.993,
-    b: float = 5.0,
-    sigma: float = 15.0,
-) -> float:
-    """Log-log slope of the mean degeneracy ceiling against window length.
-
-    Simulates drifting random walks (the model-2 process) at each length
-    and regresses log mean(lambda_max) on log length. Pure Brownian
-    input (b = 0) gives 1.5 for order 1 and 2.5 for order 2 over every
-    length range. With regime drift (b > 0) the slope is a crossover near
-    the regime length 1/(1 - p): over a few regimes the drift integral
-    is still nearly affine, which the filter ignores, and turns diffusive,
-    which adds to the ceiling, so the slope overshoots. It reaches 2.5 and
-    1.5 only once the lengths are much longer than 1/(1 - p), as the
-    default lengths 4000..32000 are at p = 0.993.
-    """
-    lengths = list(lengths)
-    if len(lengths) < 3:
-        raise ValueError("need at least 3 window lengths")
-    if n_sims < 30:
-        raise ValueError("need at least 30 simulations per length")
-    seed_rng = np.random.default_rng(seed)
-    child_seeds = seed_rng.integers(0, 2**63, size=(len(lengths), n_sims))
-    means = []
-    for i, length in enumerate(lengths):
-        vals = []
-        for j in range(n_sims):
-            params = default_params(
-                2, n=int(length), p=p, b=b, sigma=sigma, seed=int(child_seeds[i, j])
-            )
-            vals.append(lambda_max(simulate_model2(params), order))
-        means.append(np.mean(vals))
-    slope = np.polyfit(np.log(lengths), np.log(means), 1)[0]
-    return float(slope)
 
 
 def forecast_trend(result: FilterResult, order: int, horizon: int) -> np.ndarray:
@@ -416,59 +346,3 @@ def hp_lambda_for_window(T: float) -> float:
     if T < 2:
         raise ValueError(f"window must be at least 2, got {T}")
     return SPECTRAL_RATIO * 0.5 * (T / (2.0 * np.pi)) ** 4
-
-
-def spectral_density(kind: str, omega, T: Optional[int] = None,
-                     lam: Optional[float] = None):
-    """Transfer-function power of the moving-average or quadratic filter.
-
-    ``kind="ma"`` needs the window T: |sum_t exp(-i w t)|^2 / T^2.
-    ``kind="hp"`` needs the weight lam: (1 + 4 lam (3 - 4 cos w + cos 2w))^-2.
-    Both equal 1 at zero frequency.
-    """
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if kind == "ma":
-        if T is None or T < 1:
-            raise ValueError("moving-average density needs a window T >= 1")
-        phases = np.exp(-1j * np.outer(omega_arr, np.arange(T)))
-        out = (np.abs(phases.sum(axis=1)) / T) ** 2
-    elif kind == "hp":
-        if lam is None or lam < 0:
-            raise ValueError("quadratic-filter density needs lam >= 0")
-        out = (1.0 + 4.0 * lam * (3.0 - 4.0 * np.cos(omega_arr)
-                                  + np.cos(2.0 * omega_arr))) ** -2.0
-    else:
-        raise ValueError(f"kind must be 'ma' or 'hp', got {kind!r}")
-    return float(out[0]) if np.ndim(omega) == 0 else out
-
-
-def calibrate_l2_spectral(T: int, n_freq: Optional[int] = None) -> float:
-    """Least-squares spectral match of the quadratic filter to a width-T
-    moving average; the result tracks hp_lambda_for_window within a few
-    percent."""
-    # imported here, not at the top: scipy.optimize loads scipy.sparse,
-    # special, fft and spatial, which no other trendkit function needs
-    from scipy.optimize import minimize_scalar
-
-    if T < 4:
-        raise ValueError(f"window must be at least 4, got {T}")
-    if n_freq is None:
-        n_freq = max(1024, 8 * T)  # resolve the 2*pi/T main lobe
-    omega = np.pi * np.arange(n_freq + 1) / n_freq
-    target = spectral_density("ma", omega, T=T)
-    reference = 0.5 * (T / (2.0 * np.pi)) ** 4
-
-    def objective(log_lam):
-        return float(np.sum(
-            (spectral_density("hp", omega, lam=np.exp(log_lam)) - target) ** 2
-        ))
-
-    result = minimize_scalar(
-        objective,
-        bounds=(np.log(reference * 0.05), np.log(reference * 2000.0)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if not result.success:
-        raise RuntimeError(f"spectral calibration failed: {result.message}")
-    return float(np.exp(result.x))

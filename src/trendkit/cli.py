@@ -80,6 +80,8 @@ def read_table(path):
     header = [h.strip() for h in rows[0]]
     if len(header) < 2:
         raise DataError(f"{path}: need a time column and at least one value column")
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows after the header")
     names = header[1:]
     times = []
     columns = {name: [] for name in names}

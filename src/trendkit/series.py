@@ -53,10 +53,6 @@ class Series:
         values = np.asarray(values, dtype=float)
         return cls(times=np.arange(len(values)), values=values, name=name)
 
-    def slice(self, start: int, stop: int) -> "Series":
-        """Positional sub-series over [start, stop)."""
-        return Series(self.times[start:stop], self.values[start:stop], self.name)
-
 
 def as_values(y) -> np.ndarray:
     """Accept a Series or any 1-d array-like of finite values and return a

@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from trendkit.banded import diff_operator
-from trendkit.calibration import (
-    CVConfig,
-    calibrate_l2_spectral,
-    cv_filter,
-    fit_scaling_exponent,
-    lambda_max,
-)
+from trendkit.calibration import CVConfig, cv_filter, lambda_max
 from trendkit.filters import (
     detect_breaks,
     hp_filter,
@@ -34,6 +28,8 @@ from trendkit.strategy import StrategyConfig, run_backtest, step_wealth
 from trendkit.synth import default_params, simulate_model1, slope_change_count
 
 from oracles import dense_diff, l1_bruteforce_objective, ols_line
+from scaling_law import fit_scaling_exponent
+from spectral_match import calibrate_l2_spectral
 
 # solves registered by the criteria below, certified by criterion 4:
 # entries are (observed, FilterResult, [(order, lam, dual_slice), ...])

@@ -3,22 +3,20 @@ import pytest
 
 from trendkit.calibration import (
     CVConfig,
-    calibrate_l2_spectral,
     cv_filter,
-    fit_scaling_exponent,
     forecast_trend,
     global_cv_config,
     hp_lambda_for_window,
     lambda_max,
     predict_two_trend,
-    segment_lambda,
-    spectral_density,
 )
 from trendkit.errors import InsufficientHistoryError
 from trendkit.filters import l1_filter
 from trendkit.synth import default_params
 
 from oracles import dense_lambda_max
+from scaling_law import fit_scaling_exponent
+from spectral_match import calibrate_l2_spectral, spectral_density
 
 
 class TestLambdaMax:
@@ -49,30 +47,6 @@ class TestLambdaMax:
         trend = l1_filter(y, 1.001 * lambda_max(y, 2), order=2).trend
         curven = np.abs(np.diff(trend, 2))
         assert np.max(curven) < 1e-6 * np.max(np.abs(y))
-
-
-class TestSegmentLambda:
-    def test_single_segment_equals_ceiling(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=50)
-        assert segment_lambda(y, 1, 2) == lambda_max(y, 2)
-
-    def test_affine_signal_any_split_is_zero(self):
-        y = 2.0 * np.arange(36) + 1.0
-        for p in (1, 2, 3, 6):
-            assert segment_lambda(y, p, 2) == 0.0
-
-    def test_is_mean_of_segment_ceilings(self):
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=30).cumsum()
-        manual = np.mean([
-            lambda_max(y[0:10], 1), lambda_max(y[10:20], 1), lambda_max(y[20:30], 1)
-        ])
-        assert segment_lambda(y, 3, 1) == pytest.approx(manual, rel=1e-12)
-
-    def test_too_many_segments_rejected(self):
-        with pytest.raises(InsufficientHistoryError):
-            segment_lambda(np.zeros(10), 5, 2)
 
 
 class TestForecastTrend:

@@ -430,5 +430,13 @@ def test_missing_input_file_is_usage_or_data_error(tmp_path):
                  "--lambda", "1"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["filter", "calibrate"])
+def test_header_only_csv_is_data_error(tmp_path, capsys, command):
+    f = tmp_path / "hdr.csv"
+    write_lines(f, ["date,value"])
+    assert main([command, str(f)]) == EXIT_DATA
+    assert f"{f}: no data rows" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     assert main(["explode"]) == EXIT_USAGE
