@@ -11,7 +11,9 @@ The sweep covers the quadratic filter at orders 1 and 2, ``l1_filter`` at
 orders 1 and 2 and ``l1tc_filter``, each at n from 3 to 5000, input
 scales x1 and x1000 and weights of 0.01 and 0.1 times lambda_max; then
 ``cv_filter`` at the reference calibration's geometry and at the
-``l1-global`` backtest's.
+``l1-global`` backtest's; then, on the same inputs, ``l1tc_filter`` with
+either weight zero, and both ``l1_filter`` orders and ``l1tc_filter`` at
+zero weight.
 
 Then it runs ``trendkit`` commands through ``trendkit.cli.main``, each in a
 fresh temporary directory holding the same seeded input files, and prints
@@ -78,21 +80,38 @@ def _cv_digest(report) -> str:
                    report.lambda_star, report.lambda_mean, report.lambda_std)
 
 
-def _filter_cases():
+def _inputs():
+    """(tag, y, lambda_max by order) for every size, seed and scale."""
     for n in SIZES:
         for seed in SEEDS:
             walk = np.cumsum(np.random.default_rng(seed).standard_normal(n))
             for scale in SCALES:
                 y = scale * walk
-                ceilings = {1: lambda_max(y, 1), 2: lambda_max(y, 2)}
-                for frac in FRACTIONS:
-                    tag = f"n{n}-s{seed}-x{scale:g}-f{frac:g}"
-                    for order in (1, 2):
-                        lam = frac * ceilings[order]
-                        yield f"hp{order}-{tag}", _filter_digest, hp_filter, (y, lam, order)
-                        yield f"l1o{order}-{tag}", _filter_digest, l1_filter, (y, lam, order)
-                    yield (f"l1tc-{tag}", _filter_digest, l1tc_filter,
-                           (y, frac * ceilings[1], frac * ceilings[2]))
+                yield f"n{n}-s{seed}-x{scale:g}", y, {1: lambda_max(y, 1), 2: lambda_max(y, 2)}
+
+
+def _filter_cases():
+    for base, y, ceilings in _inputs():
+        for frac in FRACTIONS:
+            tag = f"{base}-f{frac:g}"
+            for order in (1, 2):
+                lam = frac * ceilings[order]
+                yield f"hp{order}-{tag}", _filter_digest, hp_filter, (y, lam, order)
+                yield f"l1o{order}-{tag}", _filter_digest, l1_filter, (y, lam, order)
+            yield (f"l1tc-{tag}", _filter_digest, l1tc_filter,
+                   (y, frac * ceilings[1], frac * ceilings[2]))
+
+
+def _zero_weight_cases():
+    """``l1tc_filter`` with one weight zero; ``l1_filter`` and ``l1tc_filter`` at zero weight."""
+    for base, y, ceilings in _inputs():
+        for frac in FRACTIONS:
+            tag = f"{base}-f{frac:g}"
+            yield f"l1tc-only2-{tag}", _filter_digest, l1tc_filter, (y, 0.0, frac * ceilings[2])
+            yield f"l1tc-only1-{tag}", _filter_digest, l1tc_filter, (y, frac * ceilings[1], 0.0)
+        for order in (1, 2):
+            yield f"l1o{order}-{base}-zero", _filter_digest, l1_filter, (y, 0.0, order)
+        yield f"l1tc-{base}-zero", _filter_digest, l1tc_filter, (y, 0.0, 0.0)
 
 
 def _cv_cases():
@@ -285,7 +304,7 @@ def _run_cli(argv, inputs) -> str:
 
 def main():
     lines = []
-    for name, digest, solve, args in (*_filter_cases(), *_cv_cases()):
+    for name, digest, solve, args in (*_filter_cases(), *_cv_cases(), *_zero_weight_cases()):
         try:
             line = f"{name} ok {digest(solve(*args))}"
         except Exception as exc:  # the failure itself is part of the digest

@@ -80,12 +80,14 @@ def read_table(path):
     header = [h.strip() for h in rows[0]]
     if len(header) < 2:
         raise DataError(f"{path}: need a time column and at least one value column")
-    if len(rows) < 2:
+    # csv.reader yields [] for a blank line, as a hand-edited file often ends
+    lines = [(line_no, row) for line_no, row in enumerate(rows[1:], start=2) if row]
+    if not lines:
         raise DataError(f"{path}: no data rows after the header")
     names = header[1:]
     times = []
     columns = {name: [] for name in names}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in lines:
         if len(row) != len(header):
             raise DataError(
                 f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
@@ -102,12 +104,12 @@ def read_table(path):
                     f"{path}: line {line_no}: cannot parse {cell!r} as a number"
                 )
     keys = [_time_key(t) for t in times]
-    for i in range(1, len(keys)):
+    for i, (line_no, _) in enumerate(lines[1:], start=1):
         if type(keys[i]) is not type(keys[0]):
-            raise DataError(f"{path}: line {i + 2}: mixed integer and date stamps")
+            raise DataError(f"{path}: line {line_no}: mixed integer and date stamps")
         if keys[i] <= keys[i - 1]:
             raise DataError(
-                f"{path}: line {i + 2}: time {times[i]!r} not after {times[i - 1]!r}"
+                f"{path}: line {line_no}: time {times[i]!r} not after {times[i - 1]!r}"
             )
     time_arr = np.array(times, dtype=object if isinstance(times[0], str) else int)
     return time_arr, {k: np.array(v) for k, v in columns.items()}
@@ -422,10 +424,7 @@ def main(argv=None) -> int:
         if "config" in args:  # the file's flags go first, so explicit ones win
             args = vars(parser.parse_args(argv[:1] + load_config(args["config"]) + argv[1:]))
         return args.pop("func")(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

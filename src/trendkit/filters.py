@@ -11,11 +11,12 @@ penalty on discrete derivatives of the fitted trend.
 * ``l1t_multivariate`` common piecewise-linear trend of several series
 * ``detect_breaks``   positions where the fitted trend changes regime
 
-The order-1 L1 filter is solved exactly by :mod:`trendkit.tv`. Every
-other L1 variant is solved through its dual: a box-constrained QP in the
-split variables, handed to :mod:`trendkit.ipm`, with the primal trend
-recovered as the data minus the transposed difference operator applied
-to the dual optimum.
+Every L1 filter is one problem, 1/2 ||y - x||^2 plus weighted L1 norms
+of first and/or second differences, fitted on one path that also decides
+convergence. With every weight zero the fit is the data; order 1 alone
+is solved exactly by :mod:`trendkit.tv`; otherwise the dual box QP in the
+split variables goes to :mod:`trendkit.ipm`, and the trend is the data
+minus the transposed difference operators applied to the dual optimum.
 """
 
 from __future__ import annotations
@@ -76,23 +77,59 @@ class FilterResult:
         return len(self.trend)
 
 
-def _check_weight(name: str, lam) -> None:
-    """Reject a penalty weight that is negative, infinite or NaN."""
+def _check_weight(name: str, lam) -> float:
+    """Reject a penalty weight that is negative, infinite or NaN; return it
+    as a float, with -0.0 as 0.0."""
     if lam < 0:
         raise ValueError(f"{name} must be non-negative, got {lam}")
     if not math.isfinite(lam):
         raise ValueError(f"{name} must be finite, got {lam}")
+    return float(lam) or 0.0
 
 
-def _solve_l1_dual(problem: BoxQP, tol: float, max_iter: int) -> IpmSolution:
-    solution = solve_box_qp(problem, tol=tol, max_iter=max_iter)
+def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
+    """Minimize 1/2 ||y - x||^2 + sum_k lam_k ||D_k x||_1, where ``weights``
+    maps each difference order k to its checked weight lam_k.
+
+    Returns the trend, each order's dual block (zeros where lam_k = 0) and
+    the certificate, which is None when no weight is active and the fit is
+    y itself. Order 1 alone is solved exactly by :func:`tv_denoise`; any
+    other set of active orders is one box QP for :func:`solve_box_qp`. A
+    certificate that misses ``tol`` raises :class:`ConvergenceError` here.
+    """
+    n = len(values)
+    ops = {order: diff_operator(order, n) for order in weights}
+    duals = {order: np.zeros(op.rows) for order, op in ops.items()}
+    active = {order: lam for order, lam in weights.items() if lam}
+    if not active:
+        return values.copy(), duals, None
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    direct = list(active) == [1]
+    if direct:
+        trend, duals[1], gap, residual = tv_denoise(values, active[1])
+        solution = IpmSolution(duals[1], 0, gap, residual, gap <= tol)
+    else:
+        rows = [ops[order].apply(values) for order in active]
+        upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]
+        if len(active) == 1:  # order 2 alone
+            problem = BoxQP(gram_banded(ops[2]), rows[0], upper[0])
+        else:
+            problem = BoxQP(tc_gram_banded(n), interleave(*rows), interleave(*upper))
+        solution = solve_box_qp(problem, tol=tol, max_iter=max_iter)
+        trend = values
+        for k, order in enumerate(active):
+            duals[order] = solution.nu_star[k::len(active)]
+            trend = trend - ops[order].apply_transpose(duals[order])
     if not solution.converged:
         raise ConvergenceError(
+            f"direct order-1 solve left duality gap {solution.duality_gap:.3e} above {tol:g}"
+            if direct else
             f"interior-point solver stopped after {solution.iterations} iterations "
             f"with duality gap {solution.duality_gap:.3e}",
             diagnostics=solution,
         )
-    return solution
+    return trend, duals, solution
 
 
 def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
@@ -103,11 +140,9 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     mean-reverting signals.
     """
     values = as_values(y)
-    _check_weight("lam", lam)
-    if lam == 0:
-        return FilterResult(values.copy(), None, 0.0, None, values)
-    trend = hp_solve(order, lam, values)
-    return FilterResult(trend, None, float(lam), None, values)
+    lam = _check_weight("lam", lam)
+    trend = values.copy() if lam == 0 else hp_solve(order, lam, values)
+    return FilterResult(trend, None, lam, None, values)
 
 
 def l1_filter(
@@ -126,29 +161,9 @@ def l1_filter(
     of its certificate in both cases.
     """
     values = as_values(y)
-    _check_weight("lam", lam)
-    op = diff_operator(order, len(values))
-    if lam == 0:
-        return FilterResult(values.copy(), np.zeros(op.rows), 0.0, None, values)
-    if order == 1:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        trend, nu, gap, residual = tv_denoise(values, float(lam))
-        solution = IpmSolution(nu, 0, gap, residual, gap <= tol)
-        if not solution.converged:
-            raise ConvergenceError(
-                f"direct order-1 solve left duality gap {gap:.3e} above {tol:g}",
-                diagnostics=solution,
-            )
-        return FilterResult(trend, nu, float(lam), solution, values)
-    problem = BoxQP(
-        Q=gram_banded(op),
-        r=op.apply(values),
-        upper=np.full(op.rows, float(lam)),
-    )
-    solution = _solve_l1_dual(problem, tol, max_iter)
-    trend = values - op.apply_transpose(solution.nu_star)
-    return FilterResult(trend, solution.nu_star, float(lam), solution, values)
+    lam = _check_weight("lam", lam)
+    trend, duals, solution = _l1_fit(values, {order: lam}, tol, max_iter)
+    return FilterResult(trend, duals[order], lam, solution, values)
 
 
 def l1tc_filter(
@@ -165,35 +180,9 @@ def l1tc_filter(
     second-difference components.
     """
     values = as_values(y)
-    _check_weight("lam1", lam1)
-    _check_weight("lam2", lam2)
-    n = len(values)
-    op1 = diff_operator(1, n)
-    op2 = diff_operator(2, n)
-
-    if lam1 == 0.0 and lam2 == 0.0:
-        dual = np.zeros(op1.rows + op2.rows)
-        return FilterResult(values.copy(), dual, (0.0, 0.0), None, values)
-    if lam1 == 0.0:
-        base = l1_filter(values, lam2, order=2, tol=tol, max_iter=max_iter)
-        dual = np.concatenate([np.zeros(op1.rows), base.dual])
-        return FilterResult(base.trend, dual, (0.0, float(lam2)), base.diagnostics, values)
-    if lam2 == 0.0:
-        base = l1_filter(values, lam1, order=1, tol=tol, max_iter=max_iter)
-        dual = np.concatenate([base.dual, np.zeros(op2.rows)])
-        return FilterResult(base.trend, dual, (float(lam1), 0.0), base.diagnostics, values)
-
-    problem = BoxQP(
-        Q=tc_gram_banded(n),
-        r=interleave(op1.apply(values), op2.apply(values)),
-        upper=interleave(np.full(op1.rows, lam1), np.full(op2.rows, lam2)),
-    )
-    solution = _solve_l1_dual(problem, tol, max_iter)
-    nu1 = solution.nu_star[0::2]
-    nu2 = solution.nu_star[1::2]
-    trend = values - op1.apply_transpose(nu1) - op2.apply_transpose(nu2)
-    dual = np.concatenate([nu1, nu2])
-    return FilterResult(trend, dual, (float(lam1), float(lam2)), solution, values)
+    lams = (_check_weight("lam1", lam1), _check_weight("lam2", lam2))
+    trend, duals, solution = _l1_fit(values, {1: lams[0], 2: lams[1]}, tol, max_iter)
+    return FilterResult(trend, np.concatenate([duals[1], duals[2]]), lams, solution, values)
 
 
 def l1t_multivariate(
@@ -230,32 +219,26 @@ def l1t_multivariate(
         data = (data - means[:, None]) / stds[:, None]
         standardization = Standardization(means=means, stds=stds)
 
-    mean_series = data.mean(axis=0)
-    base = l1_filter(mean_series, lam, order=2, tol=tol, max_iter=max_iter)
-    return FilterResult(
-        trend=base.trend,
-        dual=base.dual,
-        lam=base.lam,
-        diagnostics=base.diagnostics,
-        observed=mean_series,
-        standardization=standardization,
-    )
+    mean_series = as_values(data.mean(axis=0))
+    lam = _check_weight("lam", lam)
+    trend, duals, solution = _l1_fit(mean_series, {2: lam}, tol, max_iter)
+    return FilterResult(trend, duals[2], lam, solution, mean_series, standardization)
 
 
-def detect_breaks(result: FilterResult, order: int, tol: Optional[float] = None) -> list:
+def detect_breaks(result: FilterResult, order: int) -> list:
     """Sample indices where the fitted trend changes slope (order 2) or level (order 1).
 
     A break is reported at the first sample of the new regime: index
-    i + 1 for a nonzero i-th difference row. The default threshold is
-    1e-6 times the peak magnitude of the observed data, which separates
-    true kinks from the solver's near-zero residual curvature.
+    i + 1 for an i-th difference row above the threshold. The threshold
+    is 1e-6 times the peak magnitude of the observed data (1e-12 for
+    all-zero data), which separates true kinks from the solver's
+    near-zero residual curvature.
     """
     trend = result.trend
     op = diff_operator(order, len(trend))
     d = op.apply(trend)
-    if tol is None:
-        scale = float(np.max(np.abs(result.observed))) if len(result.observed) else 0.0
-        tol = 1e-6 * scale if scale > 0 else 1e-12
+    scale = float(np.max(np.abs(result.observed))) if len(result.observed) else 0.0
+    tol = 1e-6 * scale if scale > 0 else 1e-12
     return [int(i) + 1 for i in np.flatnonzero(np.abs(d) > tol)]
 
 

@@ -1,8 +1,8 @@
 """Primal-dual interior-point solver for box-constrained quadratic programs.
 
 Solves  min  1/2 nu' Q nu - r' nu   subject to  -upper <= nu <= upper,
-with Q symmetric banded. This is the computational engine behind every
-L1 filter in the package: their duals are exactly this problem shape.
+with Q symmetric banded: the dual of the order-2 and mixed L1 filters
+(order 1 alone is solved directly by :mod:`trendkit.tv`).
 
 The method follows the classic primal-dual scheme with a logarithmic
 barrier: at each iteration the barrier parameter is set from the current

@@ -56,6 +56,12 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3"):
             ingest_csv(f)
 
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        f = tmp_path / "i.csv"
+        write_lines(f, ["date,value", "0,1.0", "", "1,2.0", "", "1,3.0"])
+        with pytest.raises(DataError, match="line 6"):
+            ingest_csv(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "f.csv"
         f.write_text("")
@@ -436,6 +442,24 @@ def test_header_only_csv_is_data_error(tmp_path, capsys, command):
     write_lines(f, ["date,value"])
     assert main([command, str(f)]) == EXIT_DATA
     assert f"{f}: no data rows" in capsys.readouterr().err
+
+
+def test_trailing_blank_line_is_ignored(tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    write_lines(plain, ["date,value", "0,1", "1,2", "2,4"])
+    write_lines(blank, ["date,value", "0,1", "1,2", "2,4", ""])
+    for f in (plain, blank):
+        assert main(["filter", str(f), "--lambda", "1"]) == EXIT_OK
+    assert ((tmp_path / "blank.trend.csv").read_bytes()
+            == (tmp_path / "plain.trend.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["filter", "calibrate"])
+def test_header_and_blank_lines_is_data_error(tmp_path, capsys, command):
+    f = tmp_path / "hdr.csv"
+    write_lines(f, ["date,value", "", ""])
+    assert main([command, str(f)]) == EXIT_DATA
+    assert f"{f}: no data rows after the header" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error():

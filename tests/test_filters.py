@@ -133,15 +133,25 @@ class TestL1Filter:
 
 
 class TestL1TcFilter:
+    @staticmethod
+    def assert_same_fit(mixed, single, active, zero):
+        """The mixed fit with one zero weight is the single-order fit, bit for
+        bit: trend, the active dual block (the other all zeros) and certificate."""
+        np.testing.assert_array_equal(mixed.trend, single.trend)
+        np.testing.assert_array_equal(mixed.dual[active], single.dual)
+        np.testing.assert_array_equal(mixed.dual[zero], 0.0)
+        for name in ("iterations", "duality_gap", "kkt_residual"):
+            assert getattr(mixed.diagnostics, name) == getattr(single.diagnostics, name)
+
     def test_zero_first_weight_reduces_to_order2(self, walk):
-        a = l1tc_filter(walk, 0.0, 3.0).trend
-        b = l1_filter(walk, 3.0, order=2).trend
-        assert np.max(np.abs(a - b)) <= 1e-6
+        n = len(walk)
+        self.assert_same_fit(l1tc_filter(walk, 0.0, 3.0), l1_filter(walk, 3.0, order=2),
+                             active=slice(n - 1, None), zero=slice(None, n - 1))
 
     def test_zero_second_weight_reduces_to_order1(self, walk):
-        a = l1tc_filter(walk, 3.0, 0.0).trend
-        b = l1_filter(walk, 3.0, order=1).trend
-        assert np.max(np.abs(a - b)) <= 1e-6
+        n = len(walk)
+        self.assert_same_fit(l1tc_filter(walk, 3.0, 0.0), l1_filter(walk, 3.0, order=1),
+                             active=slice(None, n - 1), zero=slice(n - 1, None))
 
     def test_both_zero_returns_input(self, walk):
         np.testing.assert_array_equal(l1tc_filter(walk, 0.0, 0.0).trend, walk)
