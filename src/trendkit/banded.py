@@ -10,13 +10,11 @@ difference operators and narrow-banded SPD systems, so both live here:
 * :func:`gram_banded`, :func:`tc_gram_banded` and :func:`hp_banded`
   write the systems of the L1 duals, the mixed filter's dual and the
   quadratic filter straight into band storage from the stencils, in O(n).
-* :func:`band_solve` and :func:`hp_solve` call LAPACK's band Cholesky
-  directly; :func:`hp_solve` reuses one factor per quadratic-filter system.
+* :func:`band_solve` calls LAPACK's band Cholesky directly.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,33 +213,4 @@ def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
     else:
         _, x, info = lapack.dpbsv(A.bands, b, lower=1)
     _check_info(info, A.n)
-    return x
-
-
-@functools.lru_cache(maxsize=8)
-def _hp_factor(order: int, n: int, lam: float):
-    """Band Cholesky factor of :func:`hp_banded`, made once per (order, n, lam):
-    ``dpttrf``'s (d, e) at order 1, ``dpbtrf``'s bands at order 2."""
-    A = hp_banded(diff_operator(order, n), lam)
-    _require_finite(A.bands)
-    if order == 1:
-        *factor, info = lapack.dpttrf(A.bands[0], A.bands[1, :-1])
-    else:
-        *factor, info = lapack.dpbtrf(A.bands, lower=1)
-    _check_info(info, n)
-    return factor
-
-
-def hp_solve(order: int, lam: float, b) -> np.ndarray:
-    """Solve (I + 2 lam D'D) x = b, D of the given order, with a factor
-    cached per (order, len(b), lam); ``dptsv``/``dpbsv`` are exactly these
-    factor and solve steps, so x is bit for bit :func:`band_solve`'s.
-    b must be finite, as :func:`trendkit.series.as_values` makes it."""
-    b = np.asarray(b, dtype=float)
-    factor = _hp_factor(order, len(b), float(lam))
-    if order == 1:
-        x, info = lapack.dpttrs(*factor, b)
-    else:
-        x, info = lapack.dpbtrs(*factor, b, lower=1)
-    _check_info(info, len(b))
     return x

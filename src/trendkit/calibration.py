@@ -15,13 +15,11 @@ ceiling (``lambda_max``), which anchors every selection rule here:
 from __future__ import annotations
 
 import atexit
+import concurrent.futures
 import functools
 import math
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +27,7 @@ import numpy as np
 
 from .banded import band_solve, diff_operator, gram_banded
 from .errors import InsufficientHistoryError
-from .filters import FilterResult, l1_filter
+from .filters import FilterResult, _data_differences, l1_filter
 from .series import as_values
 
 __all__ = [
@@ -128,7 +126,7 @@ def lambda_max(y, order: int) -> float:
     """
     values = as_values(y)
     op = diff_operator(order, len(values))
-    z = band_solve(gram_banded(op), op.apply(values))
+    z = band_solve(gram_banded(op), _data_differences(op, values))
     return float(np.max(np.abs(z)))
 
 
@@ -173,7 +171,7 @@ POOL_MIN_WORK = 20000
 # default l1-global backtest 1, 2 and 4 ran alike and 8 ran 5-9% slower.
 CHUNKS_PER_WORKER = 4
 
-_pool: Optional[ProcessPoolExecutor] = None
+_pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 _pool_pid: Optional[int] = None  # the process that owns _pool
 _pool_workers = 0
 _pool_lock = threading.Lock()
@@ -187,7 +185,7 @@ def _shutdown_pool():
             _pool = None
 
 
-def _cv_pool(work: int) -> Optional[ProcessPoolExecutor]:
+def _cv_pool(work: int) -> Optional[concurrent.futures.ProcessPoolExecutor]:
     """The process's persistent solve pool, or None to solve in-process.
 
     Workers are forked, not spawned, so they start in milliseconds with
@@ -202,6 +200,7 @@ def _cv_pool(work: int) -> Optional[ProcessPoolExecutor]:
     with _pool_lock:
         if _pool is not None and _pool_pid == os.getpid():
             return _pool
+        import multiprocessing  # here, so that a process that never pools loads none of it
         if ("fork" not in multiprocessing.get_all_start_methods()
                 or multiprocessing.current_process().daemon
                 or not hasattr(os, "sched_getaffinity")):
@@ -212,7 +211,8 @@ def _cv_pool(work: int) -> Optional[ProcessPoolExecutor]:
         if _pool_pid is None:
             # End the workers before the interpreter tears itself down.
             atexit.register(_shutdown_pool)
-        _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        _pool = concurrent.futures.ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"))
         _pool_pid = os.getpid()
         _pool_workers = workers
         return _pool
@@ -234,7 +234,7 @@ def _forecast_errors(tasks, order: int, window: int) -> list:
         chunksize = math.ceil(len(tasks) / (CHUNKS_PER_WORKER * _pool_workers))
         try:
             return list(pool.map(score, tasks, chunksize=chunksize))
-        except BrokenProcessPool:
+        except concurrent.futures.process.BrokenProcessPool:
             # A worker died (e.g. killed for memory): start afresh next
             # time and score this cross-validation in-process.
             _shutdown_pool()

@@ -80,8 +80,9 @@ def read_table(path):
     header = [h.strip() for h in rows[0]]
     if len(header) < 2:
         raise DataError(f"{path}: need a time column and at least one value column")
-    # csv.reader yields [] for a blank line, as a hand-edited file often ends
-    lines = [(line_no, row) for line_no, row in enumerate(rows[1:], start=2) if row]
+    # skip blank lines (csv.reader yields [] or spaces), as a hand-edited file often ends
+    lines = [(line_no, row) for line_no, row in enumerate(rows[1:], start=2)
+             if any(cell.strip() for cell in row)]
     if not lines:
         raise DataError(f"{path}: no data rows after the header")
     names = header[1:]

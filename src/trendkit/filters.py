@@ -28,9 +28,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .banded import (
-    diff_operator, gram_banded, hp_solve, interleave, tc_gram_banded,
+    band_solve, diff_operator, gram_banded, hp_banded, interleave, tc_gram_banded,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
 from .tv import tv_denoise
@@ -87,6 +87,15 @@ def _check_weight(name: str, lam) -> float:
     return float(lam) or 0.0
 
 
+def _data_differences(op, values: np.ndarray) -> np.ndarray:
+    """D y of finite data y; differences that overflow are a DataError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = op.apply(values)
+    if not np.isfinite(d).all():
+        raise DataError(f"order-{op.order} differences of the data overflow")
+    return d
+
+
 def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
     """Minimize 1/2 ||y - x||^2 + sum_k lam_k ||D_k x||_1, where ``weights``
     maps each difference order k to its checked weight lam_k.
@@ -105,12 +114,12 @@ def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
         return values.copy(), duals, None
     if tol <= 0:
         raise ValueError("tol must be positive")
+    rows = [_data_differences(ops[order], values) for order in active]
     direct = list(active) == [1]
     if direct:
         trend, duals[1], gap, residual = tv_denoise(values, active[1])
         solution = IpmSolution(duals[1], 0, gap, residual, gap <= tol)
     else:
-        rows = [ops[order].apply(values) for order in active]
         upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]
         if len(active) == 1:  # order 2 alone
             problem = BoxQP(gram_banded(ops[2]), rows[0], upper[0])
@@ -141,7 +150,8 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     """
     values = as_values(y)
     lam = _check_weight("lam", lam)
-    trend = values.copy() if lam == 0 else hp_solve(order, lam, values)
+    trend = (values.copy() if lam == 0
+             else band_solve(hp_banded(diff_operator(order, len(values)), lam), values))
     return FilterResult(trend, None, lam, None, values)
 
 

@@ -7,7 +7,8 @@ variance as the trailing mean of squared log returns, allocates the
 mean-variance fraction clipped to the configured bounds, and compounds
 wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
-path exactly.
+path exactly. The moving average and the quadratic filter are linear, so
+their drift paths are computed once per backtest; the L1 models fit daily.
 """
 
 from __future__ import annotations
@@ -205,11 +206,28 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         return estimate, cfg.ma_window
 
     if cfg.trend_model == "hp":
+        # The last slope of the fit A^{-1}y on a trailing window is c'A^{-1}y
+        # = (A^{-1}c)'y for c = e_T - e_{T-1}, as A = I + 2 lam D'D is
+        # symmetric: one filtered weight vector serves every window.
         window = cfg.hp_window
+        try:
+            slope = np.zeros(window)
+            slope[-2:] = (-1.0, 1.0)
+            weights = hp_filter(slope, cfg.hp_lambda, order=2).trend
+        except (ValueError, NumericalError) as exc:
+            error = exc  # raised on every decision day, as each day's fit would
+
+            def estimate(t):
+                raise error.with_traceback(None)
+
+            return estimate, window - 1
+        mu_path = np.full(len(log_p), np.nan)
+        if len(log_p) >= window:
+            windows = np.lib.stride_tricks.sliding_window_view(log_p, window)
+            mu_path[window - 1:] = windows @ weights
 
         def estimate(t):
-            fit = hp_filter(log_p[t - window + 1:t + 1], cfg.hp_lambda, order=2)
-            return _last_slope(fit.trend)
+            return mu_path[t]
 
         return estimate, window - 1
 

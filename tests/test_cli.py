@@ -462,5 +462,37 @@ def test_header_and_blank_lines_is_data_error(tmp_path, capsys, command):
     assert f"{f}: no data rows after the header" in capsys.readouterr().err
 
 
+def test_whitespace_line_is_ignored(tmp_path):
+    plain, spaces = tmp_path / "plain.csv", tmp_path / "spaces.csv"
+    write_lines(plain, ["date,value", "0,1", "1,2", "2,4"])
+    write_lines(spaces, ["date,value", "0,1", "  ", "1,2", "2,4", " , "])
+    for f in (plain, spaces):
+        assert main(["filter", str(f), "--lambda", "1"]) == EXIT_OK
+    assert ((tmp_path / "spaces.trend.csv").read_bytes()
+            == (tmp_path / "plain.trend.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["filter", "calibrate"])
+def test_header_and_whitespace_lines_is_data_error(tmp_path, capsys, command):
+    f = tmp_path / "hdr.csv"
+    write_lines(f, ["date,value", "  ", "\t"])
+    assert main([command, str(f)]) == EXIT_DATA
+    assert f"{f}: no data rows after the header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights, order", [
+    (["--lambda", "1"], 2),
+    (["--kind", "l1c", "--lambda", "1"], 1),
+    (["--lambda-max-fraction", "0.1"], 2),
+], ids=["l1t", "l1c", "lambda-max-fraction"])
+def test_overflowing_differences_are_data_error(tmp_path, capsys, weights, order):
+    f = tmp_path / "ovf.csv"
+    write_lines(f, ["date,value", "0,1e308", "1,-1e308", "2,1e308", "3,-1e308"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", str(f), *weights]) == EXIT_DATA
+    assert f"order-{order} differences of the data overflow" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     assert main(["explode"]) == EXIT_USAGE

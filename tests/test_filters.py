@@ -339,6 +339,22 @@ def test_nonfinite_data_is_data_error(walk, call, bad):
             call(y)
 
 
+@pytest.mark.parametrize("call, order", [
+    (lambda y: l1_filter(y, 1.0, order=1), 1),
+    (lambda y: l1_filter(y, 1.0, order=2), 2),
+    (lambda y: l1tc_filter(y, 1.0, 1.0), 1),
+    (lambda y: l1tc_filter(y, 0.0, 1.0), 2),
+    (lambda y: lambda_max(y, 1), 1),
+    (lambda y: lambda_max(y, 2), 2),
+], ids=["l1o1", "l1o2", "l1tc", "l1tc-lam2-only", "lambda_max1", "lambda_max2"])
+def test_overflowing_differences_are_data_error(call, order):
+    y = np.array([1e308, -1e308, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^order-{order} differences of the data overflow$"):
+            call(y)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.randoms(use_true_random=False))
 def test_duality_certificate_property(rnd):

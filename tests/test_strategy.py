@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from trendkit.calibration import cv_filter, global_cv_config
+from trendkit.calibration import cv_filter, global_cv_config, hp_lambda_for_window
 from trendkit.errors import DataError, InsufficientHistoryError
+from trendkit.filters import hp_filter
 from trendkit.series import Series
 from trendkit.strategy import (
     StrategyConfig,
+    _make_mu_estimator,
     moving_average_trend,
     optimal_allocation,
     performance_stats,
@@ -265,6 +267,50 @@ class TestRunBacktest:
         prices = exponential_prices(300)
         with pytest.raises(DataError):
             run_backtest(prices, Series.from_values(np.zeros(10)), small_cfg("ma"))
+
+
+class TestHpDrift:
+    """The hp model's drift path against one hp_filter fit per day."""
+
+    @pytest.mark.parametrize("window", [30, 520])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, "matched", 1e12])
+    def test_matches_last_slope_of_each_days_fit(self, window, lam):
+        lam = hp_lambda_for_window(window) if lam == "matched" else lam
+        rng = np.random.default_rng(window)
+        log_p = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal(window + 150))
+        cfg = StrategyConfig(trend_model="hp", hp_window=window, hp_lambda=lam)
+        estimate, first = _make_mu_estimator(cfg, log_p)
+        assert first == window - 1
+        for t in range(first, len(log_p)):
+            trend = hp_filter(log_p[t - window + 1:t + 1], lam, order=2).trend
+            slope = trend[-1] - trend[-2]
+            if lam == 0.0:
+                assert estimate(t) == slope
+            else:
+                assert abs(estimate(t) - slope) <= 1e-12
+
+    def test_failed_weight_solve_fails_every_day(self):
+        rng = np.random.default_rng(2)
+        values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(900)))
+        report = run_backtest(values, 0.0, StrategyConfig(trend_model="hp", hp_lambda=1e20))
+        assert report.start_index == 519
+        assert report.failures == list(range(519, 900))
+        assert np.all(report.allocations.values == 0.0)
+
+    def test_short_history_is_insufficient(self):
+        for n in (10, 30):  # shorter than the window, then one day short
+            with pytest.raises(InsufficientHistoryError,
+                               match=f"^model 'hp' needs at least 31 samples, got {n}$"):
+                run_backtest(exponential_prices(n), 0.0, small_cfg("hp", hp_lambda=-1.0))
+
+    @pytest.mark.parametrize("lam, message", [
+        (-1.0, "non-negative, got -1.0"),
+        (np.nan, "finite, got nan"),
+        (np.inf, "finite, got inf"),
+    ])
+    def test_bad_weight_is_rejected(self, lam, message):
+        with pytest.raises(ValueError, match=f"^lam must be {message}$"):
+            run_backtest(exponential_prices(100), 0.0, small_cfg("hp", hp_lambda=lam))
 
 
 def test_config_validation():
