@@ -10,17 +10,41 @@ difference operators and narrow-banded SPD systems, so both live here:
 * :func:`gram_banded`, :func:`tc_gram_banded` and :func:`hp_banded`
   write the systems of the L1 duals, the mixed filter's dual and the
   quadratic filter straight into band storage from the stencils, in O(n).
-* :func:`band_solve` calls LAPACK's band Cholesky directly.
+* :func:`band_solve` calls LAPACK's band Cholesky directly, from scipy's
+  compiled wrapper ``scipy.linalg._flapack`` loaded from its file: that
+  skips scipy's package import and ``scipy.linalg``'s Python modules, half
+  the start-up. A later ``import scipy.linalg`` reuses the loaded module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, loaded from its file without importing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK wrapper _flapack not found in {directory}")
+
+
+lapack = _load_flapack()
 
 _STENCILS = {1: (-1.0, 1.0), 2: (1.0, -2.0, 1.0)}
 
@@ -181,22 +205,6 @@ def hp_banded(op: DiffOperator, lam: float) -> BandedSymMatrix:
     return BandedSymMatrix(n=op.n, bandwidth=op.order, bands=bands)
 
 
-def _require_finite(*arrays):
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-
-
-def _check_info(info: int, n: int):
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"band Cholesky failed on a {n}x{n} system: "
-            f"{info}th leading minor not positive definite"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-
-
 def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
     """Solve A x = b by band Cholesky (A must be positive definite).
 
@@ -207,10 +215,15 @@ def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise ValueError(f"rhs length {b.shape} does not match matrix size {A.n}")
-    _require_finite(A.bands, b)
+    if not (np.isfinite(A.bands).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if A.bandwidth == 1:
         _, _, x, info = lapack.dptsv(A.bands[0], A.bands[1, :-1], b)
     else:
         _, x, info = lapack.dpbsv(A.bands, b, lower=1)
-    _check_info(info, A.n)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"band Cholesky failed on a {A.n}x{A.n} system: "
+                                       f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
     return x

@@ -246,9 +246,6 @@ def cmd_filter(args) -> int:
             else:
                 result = filters.l1_filter(observed, lam, order=order, **options)
 
-    out_path = _out_path(args, "out", input_path, ".trend.csv")
-    write_csv(out_path, times, [("observed", observed), ("trend", result.trend)])
-
     diag = result.diagnostics
     document = {
         "kind": kind,
@@ -265,6 +262,8 @@ def cmd_filter(args) -> int:
         document["breaks_order2"] = filters.detect_breaks(result, 2)
     else:
         document["breaks"] = filters.detect_breaks(result, order)
+    out_path = _out_path(args, "out", input_path, ".trend.csv")
+    write_csv(out_path, times, [("observed", observed), ("trend", result.trend)])
     write_report(_out_path(args, "report", input_path, ".filter-report.json"), document)
     print(f"wrote {out_path}")
     return EXIT_OK

@@ -30,7 +30,7 @@ import numpy as np
 from .banded import (
     band_solve, diff_operator, gram_banded, hp_banded, interleave, tc_gram_banded,
 )
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, InsufficientHistoryError, NumericalError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
 from .tv import tv_denoise
@@ -87,6 +87,14 @@ def _check_weight(name: str, lam) -> float:
     return float(lam) or 0.0
 
 
+def _operator(order: int, n: int):
+    """:func:`diff_operator`; a series too short for its order is a DataError."""
+    if order in (1, 2) and n <= order:
+        raise InsufficientHistoryError(f"signal length {n} too small for order {order}; "
+                                       f"need at least {order + 1} samples")
+    return diff_operator(order, n)
+
+
 def _data_differences(op, values: np.ndarray) -> np.ndarray:
     """D y of finite data y; differences that overflow are a DataError."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,7 +115,7 @@ def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
     certificate that misses ``tol`` raises :class:`ConvergenceError` here.
     """
     n = len(values)
-    ops = {order: diff_operator(order, n) for order in weights}
+    ops = {order: _operator(order, n) for order in weights}
     duals = {order: np.zeros(op.rows) for order, op in ops.items()}
     active = {order: lam for order, lam in weights.items() if lam}
     if not active:
@@ -151,7 +159,9 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     values = as_values(y)
     lam = _check_weight("lam", lam)
     trend = (values.copy() if lam == 0
-             else band_solve(hp_banded(diff_operator(order, len(values)), lam), values))
+             else band_solve(hp_banded(_operator(order, len(values)), lam), values))
+    if not np.isfinite(trend).all():
+        raise NumericalError("quadratic filter solve overflowed on finite data")
     return FilterResult(trend, None, lam, None, values)
 
 
@@ -245,8 +255,7 @@ def detect_breaks(result: FilterResult, order: int) -> list:
     near-zero residual curvature.
     """
     trend = result.trend
-    op = diff_operator(order, len(trend))
-    d = op.apply(trend)
+    d = _operator(order, len(trend)).apply(trend)
     scale = float(np.max(np.abs(result.observed))) if len(result.observed) else 0.0
     tol = 1e-6 * scale if scale > 0 else 1e-12
     return [int(i) + 1 for i in np.flatnonzero(np.abs(d) > tol)]

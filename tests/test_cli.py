@@ -494,5 +494,31 @@ def test_overflowing_differences_are_data_error(tmp_path, capsys, weights, order
     assert f"order-{order} differences of the data overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", [
+    ["--kind", "l1t", "--lambda", "1"],
+    ["--kind", "l1t", "--lambda-max-fraction", "0.1"],
+    ["--kind", "hp", "--lambda", "1"],
+    ["--kind", "hp", "--lambda", "0"],
+], ids=["l1t", "lambda-max-fraction", "hp", "hp-zero"])
+def test_series_too_short_for_order_is_data_error(tmp_path, capsys, weights):
+    f = tmp_path / "two.csv"
+    write_lines(f, ["date,value", "0,1", "1,2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", str(f), *weights]) == EXIT_DATA
+    assert "data error: signal length 2 too small for order 2" in capsys.readouterr().err
+    assert not (tmp_path / "two.trend.csv").exists()
+
+
+def test_overflowing_hp_solve_is_numerical_failure(tmp_path, capsys):
+    f = tmp_path / "big.csv"
+    write_lines(f, ["date,value", "0,1e308", "1,1e308", "2,1e308", "3,1e308"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", str(f), "--kind", "hp", "--lambda", "1000"]) == EXIT_NUMERICAL
+    assert "quadratic filter solve overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "big.trend.csv").exists()
+
+
 def test_unknown_command_is_usage_error():
     assert main(["explode"]) == EXIT_USAGE

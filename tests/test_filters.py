@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from trendkit.banded import diff_operator
 from trendkit.calibration import lambda_max
-from trendkit.errors import DataError
+from trendkit.errors import DataError, InsufficientHistoryError, NumericalError
 from trendkit.filters import (
     detect_breaks,
     hp_filter,
@@ -353,6 +353,47 @@ def test_overflowing_differences_are_data_error(call, order):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=f"^order-{order} differences of the data overflow$"):
             call(y)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_overflowing_hp_solve_is_numerical_error(order):
+    # finite data whose band solve overflows to NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^quadratic filter solve overflowed"):
+            hp_filter(np.full(4, 1e308), 1000.0, order=order)
+
+
+@pytest.mark.parametrize("call, n, order", [
+    (lambda y: hp_filter(y, 1.0, order=2), 2, 2),
+    (lambda y: hp_filter(y, 1.0, order=1), 1, 1),
+    (lambda y: l1_filter(y, 1.0, order=2), 2, 2),
+    (lambda y: l1_filter(y, 1.0, order=1), 1, 1),
+    (lambda y: l1_filter(y, 0.0, order=2), 2, 2),
+    (lambda y: l1tc_filter(y, 1.0, 1.0), 2, 2),
+    (lambda y: l1t_multivariate([y, y], 1.0), 2, 2),
+    (lambda y: lambda_max(y, 2), 2, 2),
+    (lambda y: lambda_max(y, 1), 1, 1),
+    (lambda y: detect_breaks(hp_filter(y, 0.0), 2), 2, 2),
+], ids=["hp2", "hp1", "l1o2", "l1o1", "l1o2-zero", "l1tc", "multivariate",
+        "lambda_max2", "lambda_max1", "breaks"])
+def test_series_too_short_for_order_is_insufficient_history(call, n, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientHistoryError,
+                           match=f"^signal length {n} too small for order {order}; "
+                                 f"need at least {order + 1} samples$"):
+            call(np.arange(1.0, n + 1))
+
+
+def test_short_series_that_fit_still_fit():
+    y = np.array([1.0, 3.0])
+    assert np.array_equal(hp_filter(y, 0.0, order=2).trend, y)
+    assert np.allclose(hp_filter(y, 1.0, order=1).trend, [1.8, 2.2])
+    assert np.allclose(l1_filter(y, 10.0, order=1).trend, [2.0, 2.0])
+    assert np.isclose(lambda_max(y, 1), 1.0)
+    with pytest.raises(ValueError, match="^order must be 1 or 2, got 3$"):
+        l1_filter(y, 1.0, order=3)
 
 
 @settings(deadline=None, max_examples=25)

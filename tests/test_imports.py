@@ -1,34 +1,43 @@
-"""trendkit imports numpy and scipy.linalg only.
+"""trendkit imports numpy and the standard library only.
 
-``scipy.optimize`` alone pulls in scipy's sparse, special, fft and spatial
-packages: about 240 modules, 0.3 s and 20 MB of every process that imports
-trendkit. The package's modules import no scipy subpackage but
-``scipy.linalg``; code that needs another lives in ``scripts/``. These
-tests hold every module and every command to that.
+``import scipy.linalg`` runs scipy's package import and every Python
+module of ``scipy.linalg``: about 320 modules, 0.2–0.35 s and 25 MB of every
+process that imports trendkit, for the two LAPACK routines ``band_solve``
+calls. ``banded.py`` loads scipy's compiled LAPACK wrapper,
+``scipy.linalg._flapack``, from its file instead, and that is the one
+scipy module a process running trendkit holds. Code that needs a scipy
+package lives in ``scripts/``. These tests hold every module and every
+command to that, and check that a later ``import scipy.linalg`` shares
+the loaded routines.
 """
 
 import ast
 import importlib
+import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+import scipy.linalg
+
 import trendkit
 from spectral_match import calibrate_l2_spectral
+from trendkit import banded
 
 PACKAGE = Path(trendkit.__file__).resolve().parent
 
-OPTIONAL = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft",
-            "scipy.spatial", "scipy.stats")
-
-# Runs in a fresh interpreter: one command of each kind, then the loaded set.
+# Runs in a fresh interpreter: the loaded set after the import and after one
+# command of each kind, then whether a later scipy.linalg shares the routines.
 SESSION = """
 import json, sys
 import numpy as np
 import trendkit
-from trendkit import cli
+imported = sorted(sys.modules)
+from trendkit import banded, cli
 
 prices = 100 * np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal(400)))
 cli.write_csv("prices.csv", np.arange(400), [("value", prices)])
@@ -42,7 +51,12 @@ commands = [
      "--t2", "15", "--t3", "30"],
 ]
 codes = [cli.main(argv) for argv in commands]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import scipy.linalg
+shared = [getattr(banded.lapack, name) is getattr(scipy.linalg.lapack, name)
+          for name in ("dpbsv", "dptsv")]
+print(json.dumps({"codes": codes, "imported": imported, "modules": modules,
+                  "shared": shared}))
 """
 
 
@@ -54,8 +68,21 @@ def test_commands_load_no_optional_scipy_package(tmp_path):
     assert proc.returncode == 0, proc.stderr
     outcome = json.loads(proc.stdout.splitlines()[-1])
     assert outcome["codes"] == [0, 0, 0, 0]
-    loaded = [m for m in outcome["modules"] if m.startswith(OPTIONAL)]
-    assert loaded == []
+    for modules in (outcome["imported"], outcome["modules"]):
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
+    assert outcome["shared"] == [True, True]
+
+
+def test_scipy_linalg_shares_the_loaded_lapack_routines():
+    assert banded.lapack.dpbsv is scipy.linalg.lapack.dpbsv
+    assert banded.lapack.dptsv is scipy.linalg.lapack.dptsv
+
+
+def test_missing_lapack_wrapper_is_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError, match=f"_flapack not found in {re.escape(directory)}$"):
+        banded._load_flapack()
 
 
 def _imported_names(tree):
@@ -73,11 +100,10 @@ def _imported_names(tree):
 
 def _allowed(name):
     top = name.split(".")[0]
-    return (top in sys.stdlib_module_names or top == "numpy"
-            or name == "scipy.linalg" or name.startswith("scipy.linalg."))
+    return top in sys.stdlib_module_names or top == "numpy"
 
 
-def test_package_imports_numpy_and_scipy_linalg_only():
+def test_package_imports_numpy_and_stdlib_only():
     offending = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
