@@ -21,8 +21,8 @@ one line per command: the exit code, the names and a SHA-256 of the files
 it wrote together with its standard output and error, its standard error
 text, and how many Python warnings it raised. The commands cover every
 filter kind and weight selection, calibrate, the four simulated models,
-every backtest trend model, config files, and each usage (1), data (2) and
-numerical (3) exit.
+every backtest trend model, backtests that ruin the strategy, config files,
+and each usage (1), data (2) and numerical (3) exit.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -146,6 +146,7 @@ def _cli_inputs() -> dict:
     drift = 0.01 * rng.standard_normal(400) + 0.0005
     _, model1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=0))
     index_rng = np.random.default_rng(0)  # index levels: about 1200, moves about 12
+    fall, rise = 100 * np.exp(-0.002 * np.arange(400)), 100 * np.exp(0.002 * np.arange(400))
     return {
         "walk.csv": _csv(value=walk),
         "walk1000.csv": _csv(value=1000 * walk),
@@ -159,6 +160,11 @@ def _cli_inputs() -> dict:
         "prices.csv": _csv(value=100 * np.exp(np.cumsum(drift))),
         "rates.csv": _csv(value=np.full(400, 1e-4)),
         "short.csv": _csv(value=np.full(40, 75.0)),
+        # a falling market that triples five days from the end, the last day,
+        # and a rising one that loses 70% five days from the end
+        "ruin.csv": _csv(value=fall * np.where(np.arange(400) >= 395, 3.0, 1.0)),
+        "ruin-last.csv": _csv(value=fall * np.where(np.arange(400) >= 399, 3.0, 1.0)),
+        "crash.csv": _csv(value=rise * np.where(np.arange(400) >= 395, 0.3, 1.0)),
         "filter.cfg": "# step trend\nkind = l1c\nlam = 0.0\n",
         "auto.cfg": "auto = TRUE\nstandardize = false\nt1 = 60\nt2 = 15\nm = 3\n"
                     "p = 3\nn_grid = 4\n",
@@ -232,7 +238,7 @@ def _cli_cases():
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
-    yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--t3", "45", "--order", "1",
+    yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",
                                 "--report", "cv.json", "--errors-out", "cv.csv"]
     yield "calibrate-short", ["calibrate", "walk.csv"]
     yield "calibrate-bad-windows", ["calibrate", "walk.csv", "--t1", "10", "--t2", "15"]
@@ -254,6 +260,10 @@ def _cli_cases():
                                "--risk-aversion", "2", "--alpha-min", "0", "--alpha-max",
                                "0.5", "--hp-lambda", "500", "--ma-window", "40", *trade]
     yield "backtest-short", ["backtest", "short.csv"]
+    ma = ["--model", "ma", "--ma-window", "20", "--vol-window", "20"]
+    yield "backtest-ruin", ["backtest", "ruin.csv", *ma]
+    yield "backtest-ruin-last-day", ["backtest", "ruin-last.csv", *ma]
+    yield "backtest-ruin-levered", ["backtest", "crash.csv", *ma, "--alpha-max", "4"]
     yield "backtest-bad-alpha", ["backtest", "prices.csv", "--alpha-min", "1",
                                  "--alpha-max", "0"]
     yield "backtest-bad-model", ["backtest", "prices.csv", "--model", "oracle"]

@@ -4,12 +4,15 @@ Every filter in the package reduces to linear algebra with first/second
 difference operators and narrow-banded SPD systems, so both live here:
 
 * :class:`DiffOperator` applies the (-1, 1) or (1, -2, 1) stencils and
-  their transposes in O(n) without materializing the matrix.
+  their transposes in O(n) without materializing the matrix. It owns the
+  two rules every filter relies on: a series needs more samples than the
+  order (:class:`InsufficientHistoryError`), and its differences must be
+  finite (:class:`DataError`).
 * :class:`BandedSymMatrix` stores an SPD matrix by its lower diagonals
   and solves against it with a band Cholesky factorization.
-* :func:`gram_banded`, :func:`tc_gram_banded` and :func:`hp_banded`
-  write the systems of the L1 duals, the mixed filter's dual and the
-  quadratic filter straight into band storage from the stencils, in O(n).
+* :func:`gram_banded` and :func:`hp_banded` write the systems of the L1
+  duals (one order, or both interleaved) and of the quadratic filter
+  straight into band storage from the stencils, in O(n).
 * :func:`band_solve` calls LAPACK's band Cholesky directly, from scipy's
   compiled wrapper ``scipy.linalg._flapack`` loaded from its file: that
   skips scipy's package import and ``scipy.linalg``'s Python modules, half
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import DataError, InsufficientHistoryError, NotPositiveDefiniteError
 
 
 def _load_flapack():
@@ -56,7 +59,7 @@ class DiffOperator:
     Order 1 maps x to consecutive differences x[i+1] - x[i] (n-1 rows);
     order 2 maps x to second differences x[i] - 2 x[i+1] + x[i+2]
     (n-2 rows). Order 1 annihilates constants, order 2 annihilates
-    affine sequences.
+    affine sequences. n <= order raises :class:`InsufficientHistoryError`.
     """
 
     order: int
@@ -66,7 +69,7 @@ class DiffOperator:
         if self.order not in _STENCILS:
             raise ValueError(f"order must be 1 or 2, got {self.order}")
         if self.n <= self.order:
-            raise ValueError(
+            raise InsufficientHistoryError(
                 f"signal length {self.n} too small for order {self.order}; "
                 f"need at least {self.order + 1} samples"
             )
@@ -80,13 +83,16 @@ class DiffOperator:
         return _STENCILS[self.order]
 
     def apply(self, v) -> np.ndarray:
-        """Compute D v for a length-n vector v."""
+        """Compute D v for a length-n vector v; a difference that overflows
+        is a :class:`DataError`."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
-        if self.order == 1:
-            return v[1:] - v[:-1]
-        return v[:-2] - 2.0 * v[1:-1] + v[2:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = v[1:] - v[:-1] if self.order == 1 else v[:-2] - 2.0 * v[1:-1] + v[2:]
+        if not np.isfinite(d).all():
+            raise DataError(f"order-{self.order} differences of the data overflow")
+        return d
 
     def apply_transpose(self, u) -> np.ndarray:
         """Compute D^T u for a vector u of length n-order."""
@@ -156,12 +162,13 @@ class BandedSymMatrix:
         return BandedSymMatrix(self.n, self.bandwidth, bands)
 
 
-def _row_gram(stencils, rows: int, width: int) -> BandedSymMatrix:
+def _row_gram(stencils, rows: int) -> BandedSymMatrix:
     """Banded B B' for ``rows`` rows of B: row P*i + q holds stencils[q]
     from column i on (P = len(stencils)), so entry (r + k, r) is the same
-    stencil inner product for every row r of one class q."""
+    stencil inner product for every row r of one class q, and it is zero
+    once row r + k starts past the end of stencils[q]."""
     period = len(stencils)
-    width = min(width, rows - 1)
+    width = min(max(period * len(a) - 1 - q for q, a in enumerate(stencils)), rows - 1)
     bands = np.zeros((width + 1, rows))
     for k in range(width + 1):
         for q, a in enumerate(stencils):
@@ -171,24 +178,23 @@ def _row_gram(stencils, rows: int, width: int) -> BandedSymMatrix:
     return BandedSymMatrix(n=rows, bandwidth=width, bands=bands)
 
 
-def gram_banded(op: DiffOperator) -> BandedSymMatrix:
-    """Banded representation of D D^T (tridiagonal for order 1, pentadiagonal for 2)."""
-    return _row_gram([op.stencil], op.rows, op.order)
+def gram_banded(*ops: DiffOperator) -> BandedSymMatrix:
+    """Banded D D' of one operator (tridiagonal for order 1, pentadiagonal
+    for 2), or of orders 1 and 2 of one length stacked in the row order of
+    :func:`interleave`: the first difference at i is row 2i and the second
+    difference at i row 2i + 1, which keeps the bandwidth at 4 (2n - 4 for
+    n < 4) instead of coupling rows n apart."""
+    if [op.order for op in ops] not in ([1], [2], [1, 2]) or len({op.n for op in ops}) > 1:
+        raise ValueError("need one operator, or orders 1 and 2 of one length")
+    return _row_gram([op.stencil for op in ops], sum(op.rows for op in ops))
 
 
-def tc_gram_banded(n: int) -> BandedSymMatrix:
-    """Banded Gram of the mixed filter's rows: the first difference at i
-    is row 2i and the second difference at i row 2i + 1, which keeps the
-    bandwidth at 4 (2n - 4 for n < 4) instead of coupling rows n apart."""
-    return _row_gram([_STENCILS[1], _STENCILS[2]], 2 * n - 3, 4)
-
-
-def interleave(first, second) -> np.ndarray:
-    """Merge n-1 first- and n-2 second-difference entries in the row
-    order of :func:`tc_gram_banded`."""
-    out = np.empty(len(first) + len(second))
-    out[0::2] = first
-    out[1::2] = second
+def interleave(*parts) -> np.ndarray:
+    """Merge P parts entry by entry in the row order of :func:`gram_banded`:
+    entry i of part q goes to position P*i + q."""
+    out = np.empty(sum(len(part) for part in parts))
+    for q, part in enumerate(parts):
+        out[q::len(parts)] = part
     return out
 
 

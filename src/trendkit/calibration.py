@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import band_solve, gram_banded
+from .banded import band_solve, diff_operator, gram_banded
 from .errors import InsufficientHistoryError
-from .filters import FilterResult, _data_differences, _operator, l1_filter
+from .filters import FilterResult, l1_filter
 from .series import as_values
 
 __all__ = [
@@ -125,8 +125,8 @@ def lambda_max(y, order: int) -> float:
     the least-squares line and the order-1 fit is the mean.
     """
     values = as_values(y)
-    op = _operator(order, len(values))
-    z = band_solve(gram_banded(op), _data_differences(op, values))
+    op = diff_operator(order, len(values))
+    z = band_solve(gram_banded(op), op.apply(values))
     return float(np.max(np.abs(z)))
 
 

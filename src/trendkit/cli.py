@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
 
     c = command("calibrate", cmd_calibrate, "cross-validate the penalty weight")
     c.add_argument("input")
-    _flags(c, int, "T1", "T2", "T3", "m", "p", "n_grid")
+    _flags(c, int, "T1", "T2", "m", "p", "n_grid")
     c.add_argument("--order", type=int, choices=[1, 2])
     c.add_argument("--column")
     c.add_argument("--report")

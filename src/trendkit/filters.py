@@ -17,6 +17,11 @@ convergence. With every weight zero the fit is the data; order 1 alone
 is solved exactly by :mod:`trendkit.tv`; otherwise the dual box QP in the
 split variables goes to :mod:`trendkit.ipm`, and the trend is the data
 minus the transposed difference operators applied to the dual optimum.
+
+The rules on the data are the difference operator's
+(:class:`trendkit.banded.DiffOperator`), so every function here applies
+them alike: a series no longer than the order is an
+``InsufficientHistoryError``, and differences that overflow a ``DataError``.
 """
 
 from __future__ import annotations
@@ -27,10 +32,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .banded import (
-    band_solve, diff_operator, gram_banded, hp_banded, interleave, tc_gram_banded,
-)
-from .errors import ConvergenceError, DataError, InsufficientHistoryError, NumericalError
+from .banded import band_solve, diff_operator, gram_banded, hp_banded, interleave
+from .errors import ConvergenceError, NumericalError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
 from .tv import tv_denoise
@@ -87,23 +90,6 @@ def _check_weight(name: str, lam) -> float:
     return float(lam) or 0.0
 
 
-def _operator(order: int, n: int):
-    """:func:`diff_operator`; a series too short for its order is a DataError."""
-    if order in (1, 2) and n <= order:
-        raise InsufficientHistoryError(f"signal length {n} too small for order {order}; "
-                                       f"need at least {order + 1} samples")
-    return diff_operator(order, n)
-
-
-def _data_differences(op, values: np.ndarray) -> np.ndarray:
-    """D y of finite data y; differences that overflow are a DataError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = op.apply(values)
-    if not np.isfinite(d).all():
-        raise DataError(f"order-{op.order} differences of the data overflow")
-    return d
-
-
 def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
     """Minimize 1/2 ||y - x||^2 + sum_k lam_k ||D_k x||_1, where ``weights``
     maps each difference order k to its checked weight lam_k.
@@ -114,25 +100,23 @@ def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
     other set of active orders is one box QP for :func:`solve_box_qp`. A
     certificate that misses ``tol`` raises :class:`ConvergenceError` here.
     """
-    n = len(values)
-    ops = {order: _operator(order, n) for order in weights}
+    ops = {order: diff_operator(order, len(values)) for order in weights}
     duals = {order: np.zeros(op.rows) for order, op in ops.items()}
     active = {order: lam for order, lam in weights.items() if lam}
     if not active:
         return values.copy(), duals, None
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows = [_data_differences(ops[order], values) for order in active]
+    # D y of the data: the QP's linear term, and on every path the overflow check
+    rows = [ops[order].apply(values) for order in active]
     direct = list(active) == [1]
     if direct:
         trend, duals[1], gap, residual = tv_denoise(values, active[1])
         solution = IpmSolution(duals[1], 0, gap, residual, gap <= tol)
     else:
         upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]
-        if len(active) == 1:  # order 2 alone
-            problem = BoxQP(gram_banded(ops[2]), rows[0], upper[0])
-        else:
-            problem = BoxQP(tc_gram_banded(n), interleave(*rows), interleave(*upper))
+        problem = BoxQP(gram_banded(*(ops[order] for order in active)),
+                        interleave(*rows), interleave(*upper))
         solution = solve_box_qp(problem, tol=tol, max_iter=max_iter)
         trend = values
         for k, order in enumerate(active):
@@ -158,8 +142,10 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     """
     values = as_values(y)
     lam = _check_weight("lam", lam)
+    if order not in (1, 2):  # here too, as weight 0 builds no operator
+        raise ValueError(f"order must be 1 or 2, got {order}")
     trend = (values.copy() if lam == 0
-             else band_solve(hp_banded(_operator(order, len(values)), lam), values))
+             else band_solve(hp_banded(diff_operator(order, len(values)), lam), values))
     if not np.isfinite(trend).all():
         raise NumericalError("quadratic filter solve overflowed on finite data")
     return FilterResult(trend, None, lam, None, values)
@@ -255,7 +241,7 @@ def detect_breaks(result: FilterResult, order: int) -> list:
     near-zero residual curvature.
     """
     trend = result.trend
-    d = _operator(order, len(trend)).apply(trend)
+    d = diff_operator(order, len(trend)).apply(trend)
     scale = float(np.max(np.abs(result.observed))) if len(result.observed) else 0.0
     tol = 1e-6 * scale if scale > 0 else 1e-12
     return [int(i) + 1 for i in np.flatnonzero(np.abs(d) > tol)]
@@ -271,12 +257,6 @@ def l1_objective(y, x, lam: float, order: int) -> float:
 
 def l1tc_objective(y, x, lam1: float, lam2: float) -> float:
     """Primal objective with both difference penalties."""
-    y = as_values(y)
-    x = as_values(x)
-    op1 = diff_operator(1, len(y))
+    y, x = as_values(y), as_values(x)
     op2 = diff_operator(2, len(y))
-    return (
-        0.5 * float(np.sum((y - x) ** 2))
-        + lam1 * float(np.sum(np.abs(op1.apply(x))))
-        + lam2 * float(np.sum(np.abs(op2.apply(x))))
-    )
+    return l1_objective(y, x, lam1, 1) + lam2 * float(np.sum(np.abs(op2.apply(x))))

@@ -259,7 +259,8 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     At each date: estimate the drift from past data only, estimate the
     variance over the trailing window, allocate, then realize the next
     price move. Dates where the trend estimation fails keep the
-    previous allocation; dates with floored variance are flagged.
+    previous allocation; dates with floored variance are flagged. A price
+    move that takes wealth to zero or below is a :class:`DataError`.
     """
     if not isinstance(prices, Series):
         prices = Series.from_values(as_values(prices), name="price")
@@ -307,9 +308,11 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
         alphas[t] = alpha
         prev_alpha = alpha
         if t < n - 1:
-            wealth[t + 1] = step_wealth(
-                wealth[t], alpha, values[t + 1] / values[t], rate_at[t]
-            )
+            ratio = values[t + 1] / values[t]
+            wealth[t + 1] = step_wealth(wealth[t], alpha, ratio, rate_at[t])
+            if wealth[t + 1] <= 0:
+                raise DataError(f"wealth ruined at {prices.times[t + 1]}: allocation "
+                                f"{alpha:.6g} through price ratio {ratio:.6g}")
 
     wealth_series = Series(prices.times[t0:], wealth[t0:], name="wealth")
     alloc_series = Series(prices.times[t0:], alphas[t0:], name="alpha")

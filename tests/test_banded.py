@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,9 +13,8 @@ from trendkit.banded import (
     gram_banded,
     hp_banded,
     interleave,
-    tc_gram_banded,
 )
-from trendkit.errors import DataError, NotPositiveDefiniteError
+from trendkit.errors import DataError, InsufficientHistoryError, NotPositiveDefiniteError
 from trendkit.filters import hp_filter
 
 from oracles import dense_banded, dense_diff
@@ -23,12 +24,24 @@ def test_diff_operator_shapes_and_validation():
     op = diff_operator(2, 10)
     assert op.rows == 8
     assert diff_operator(1, 5).rows == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientHistoryError,
+                       match="^signal length 2 too small for order 2; need at least 3 samples$"):
         diff_operator(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientHistoryError,
+                       match="^signal length 1 too small for order 1; need at least 2 samples$"):
         diff_operator(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^order must be 1 or 2, got 3$"):
         diff_operator(3, 10)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("v", [[1e308, -1e308, 1e308, -1e308], [0.0, 1.0, np.nan, 2.0]],
+                         ids=["overflow", "nan"])
+def test_non_finite_differences_are_data_error(order, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^order-{order} differences of the data overflow$"):
+            diff_operator(order, 4).apply(np.array(v))
 
 
 def test_second_difference_of_affine_is_zero():
@@ -158,7 +171,7 @@ def _dense_interleaved_stack(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_tc_system_matches_dense_interleaved_stack(n):
     B = _dense_interleaved_stack(n)
-    G = tc_gram_banded(n)
+    G = gram_banded(diff_operator(1, n), diff_operator(2, n))
     assert G.bandwidth == min(4, 2 * n - 4)
     _assert_zero_padding(G)
     assert np.array_equal(dense_banded(G), B @ B.T)
@@ -166,6 +179,18 @@ def test_tc_system_matches_dense_interleaved_stack(n):
     y = np.random.default_rng(n).integers(-50, 50, size=n).astype(float)
     rhs = interleave(diff_operator(1, n).apply(y), diff_operator(2, n).apply(y))
     assert np.array_equal(rhs, B @ y)
+
+
+@pytest.mark.parametrize("shapes", [[(2, 8), (1, 8)], [(1, 8), (1, 8)], [], [(1, 8), (2, 9)]],
+                         ids=["2-then-1", "1-twice", "none", "two-lengths"])
+def test_gram_of_other_operator_stacks_is_rejected(shapes):
+    with pytest.raises(ValueError, match="^need one operator, or orders 1 and 2 of one length$"):
+        gram_banded(*(diff_operator(order, n) for order, n in shapes))
+
+
+def test_interleave_takes_any_number_of_parts():
+    np.testing.assert_array_equal(interleave([1.0, 2.0]), [1.0, 2.0])
+    np.testing.assert_array_equal(interleave([0.0, 3.0], [1.0, 4.0], [2.0]), np.arange(5.0))
 
 
 def test_band_solve_identity():

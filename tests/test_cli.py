@@ -426,6 +426,23 @@ class TestBacktestCommand:
         report = json.loads((tmp_path / "up.backtest-report.json").read_text())
         assert report["stats"]["performance_pct"] > 0
 
+    @pytest.mark.parametrize("g, day, jump, extra", [
+        (-0.002, 395, 3.0, []),
+        (-0.002, 399, 3.0, []),
+        (0.002, 395, 0.3, ["--alpha-max", "4"]),
+    ], ids=["short-tripling", "short-tripling-last-day", "levered-crash"])
+    def test_ruin_is_data_error(self, tmp_path, capsys, g, day, jump, extra):
+        f = tmp_path / "p.csv"
+        values = 100.0 * np.exp(g * np.arange(400))
+        values[day:] *= jump
+        write_csv(f, np.arange(400), [("value", values)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+                         "--vol-window", "20", *extra]) == EXIT_DATA
+        assert f"data error: wealth ruined at {day}: allocation " in capsys.readouterr().err
+        assert not (tmp_path / "p.wealth.csv").exists()
+
     def test_short_history_is_data_error(self, tmp_path):
         f = self.make_prices(tmp_path, n=40)
         assert main(["backtest", str(f), "--model", "l1-global"]) == EXIT_DATA

@@ -375,8 +375,12 @@ def test_overflowing_hp_solve_is_numerical_error(order):
     (lambda y: lambda_max(y, 2), 2, 2),
     (lambda y: lambda_max(y, 1), 1, 1),
     (lambda y: detect_breaks(hp_filter(y, 0.0), 2), 2, 2),
+    (lambda y: l1_objective(y, y, 1.0, 2), 2, 2),
+    (lambda y: l1_objective(y, y, 1.0, 1), 1, 1),
+    (lambda y: l1tc_objective(y, y, 1.0, 1.0), 2, 2),
 ], ids=["hp2", "hp1", "l1o2", "l1o1", "l1o2-zero", "l1tc", "multivariate",
-        "lambda_max2", "lambda_max1", "breaks"])
+        "lambda_max2", "lambda_max1", "breaks", "l1_objective2", "l1_objective1",
+        "l1tc_objective"])
 def test_series_too_short_for_order_is_insufficient_history(call, n, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -384,6 +388,12 @@ def test_series_too_short_for_order_is_insufficient_history(call, n, order):
                            match=f"^signal length {n} too small for order {order}; "
                                  f"need at least {order + 1} samples$"):
             call(np.arange(1.0, n + 1))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_hp_order_checked_at_every_weight(lam):
+    with pytest.raises(ValueError, match="^order must be 1 or 2, got 5$"):
+        hp_filter([1.0, 2.0, 3.0], lam, order=5)
 
 
 def test_short_series_that_fit_still_fit():

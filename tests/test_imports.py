@@ -1,4 +1,5 @@
-"""trendkit imports numpy and the standard library only.
+"""trendkit imports numpy and the standard library only, and keeps the
+names the benchmark's tracer wraps.
 
 ``import scipy.linalg`` runs scipy's package import and every Python
 module of ``scipy.linalg``: about 320 modules, 0.2–0.35 s and 25 MB of every
@@ -9,11 +10,18 @@ scipy module a process running trendkit holds. Code that needs a scipy
 package lives in ``scripts/``. These tests hold every module and every
 command to that, and check that a later ``import scipy.linalg`` shares
 the loaded routines.
+
+``perfbench`` traces the package from outside: it wraps the public
+functions its ``spans.REQUIRED`` lists and reads each backtest day's
+lambda* through ``strategy.cv_filter``. A rename there leaves a metric
+silently at zero, so the names are pinned here; and no module imports
+another module's private name, so each module's helpers stay its own.
 """
 
 import ast
 import importlib
 import importlib.machinery
+import inspect
 import json
 import os
 import re
@@ -21,14 +29,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
 import trendkit
 from spectral_match import calibrate_l2_spectral
-from trendkit import banded
+from trendkit import banded, calibration, strategy
 
 PACKAGE = Path(trendkit.__file__).resolve().parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Runs in a fresh interpreter: the loaded set after the import and after one
 # command of each kind, then whether a later scipy.linalg shares the routines.
@@ -111,6 +121,72 @@ def test_package_imports_numpy_and_stdlib_only():
         if not _allowed(name)
     ]
     assert offending == []
+
+
+def _private_imports(tree):
+    """Underscore names a parsed trendkit module takes from another one: by
+    ``from .x import _y`` or as ``x._y`` after ``from . import x``."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "trendkit"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+                elif node.module in (None, "trendkit"):
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    offending = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offending == []
+
+
+def _required_spans():
+    """``REQUIRED`` of perfbench/spans.py, read from its source unimported."""
+    for node in ast.parse(SPANS.read_text(), str(SPANS)).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["REQUIRED"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no REQUIRED tuple in {SPANS}")
+
+
+def test_traced_names_are_public_functions_of_their_modules():
+    required = _required_spans()
+    assert {"filters.l1_filter", "ipm.residual", "calibration.lambda_max"} <= set(required)
+    missing = []
+    for name in required:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"trendkit.{layer}")
+        obj = getattr(module, attr, None)
+        if attr.startswith("_") or not inspect.isfunction(obj) \
+                or obj.__module__ != module.__name__:
+            missing.append(name)
+    assert missing == []
+
+
+def test_backtest_reads_cv_filter_through_the_strategy_binding(monkeypatch):
+    assert strategy.cv_filter is calibration.cv_filter
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return calibration.cv_filter(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "cv_filter", counted)
+    prices = 100 * np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal(95)))
+    cfg = strategy.StrategyConfig(trend_model="l1-local", vol_window=20, T1=60, T2=15, T3=30,
+                                  cv_m=2, cv_p=2, n_grid=4)
+    report = strategy.run_backtest(prices, 0.0, cfg)
+    assert len(calls) == len(report.allocations) > 0
 
 
 def test_every_exported_name_exists():

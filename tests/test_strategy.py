@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,17 @@ def exponential_prices(n, g=0.001, start=100.0):
     return Series.from_values(start * np.exp(g * np.arange(n)), name="price")
 
 
+# A steady 400-day trend with one jump at ``day`` that ruins the ma rule:
+# short a falling market through a tripling (five days from the end, or on
+# the last day), or four times long a rising one through a 70% crash.
+RUINS = [
+    (-0.002, 395, 3.0, {}, -1.0),
+    (-0.002, 399, 3.0, {}, -1.0),
+    (0.002, 395, 0.3, {"alpha_max": 4.0}, 4.0),
+]
+RUIN_IDS = ["short-tripling", "short-tripling-last-day", "levered-crash"]
+
+
 class TestRunBacktest:
     def test_uptrend_is_profitable_and_hits_upper_bound(self):
         prices = exponential_prices(400)
@@ -267,6 +279,18 @@ class TestRunBacktest:
         prices = exponential_prices(300)
         with pytest.raises(DataError):
             run_backtest(prices, Series.from_values(np.zeros(10)), small_cfg("ma"))
+
+    @pytest.mark.parametrize("g, day, jump, extra, alpha", RUINS, ids=RUIN_IDS)
+    def test_ruin_is_data_error(self, g, day, jump, extra, alpha):
+        values = 100.0 * np.exp(g * np.arange(400))
+        values[day:] *= jump
+        cfg = StrategyConfig(trend_model="ma", ma_window=20, vol_window=20, **extra)
+        message = (f"wealth ruined at {day}: allocation {alpha:g} "
+                   f"through price ratio {values[day] / values[day - 1]:.6g}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                run_backtest(values, 0.0, cfg)
 
 
 class TestHpDrift:
