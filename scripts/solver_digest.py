@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from trendkit import cli, synth
-from trendkit.calibration import CVConfig, cv_filter, global_cv_config, lambda_max
+from trendkit.calibration import CVConfig, cv_filter, lambda_max
 from trendkit.filters import hp_filter, l1_filter, l1tc_filter
 from trendkit.strategy import TREND_MODELS, StrategyConfig
 
@@ -116,7 +116,9 @@ def _zero_weight_cases():
 
 def _cv_cases():
     reference = CVConfig()
-    l1_global = global_cv_config(StrategyConfig().cv_config())
+    strat = StrategyConfig()  # the l1-global backtest's geometry: training 4 T3, test T3
+    l1_global = CVConfig(T1=4 * strat.T3, T2=strat.T3, m=strat.cv_m, p=strat.cv_p,
+                         n_grid=strat.n_grid)
     for seed in CV_SEEDS:
         _, observed = synth.simulate_model1(synth.default_params(1, n=1008, seed=seed))
         walk = synth.simulate_model2(synth.default_params(
@@ -236,6 +238,8 @@ def _cli_cases():
     # numerical failures
     yield "filter-index-level", ["filter", "index.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
+    yield "filter-l1t-huge-weight", [*walk, "--kind", "l1t", "--lambda", "1e308"]
+    yield "filter-hp-huge-weight", [*walk, "--kind", "hp", "--lambda", "1e308"]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
     yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",

@@ -4,12 +4,10 @@ from .banded import BandedSymMatrix, DiffOperator, band_solve, diff_operator, gr
 from .calibration import (
     CVConfig,
     CVReport,
-    TwoTrendPrediction,
     cv_filter,
     forecast_trend,
     hp_lambda_for_window,
     lambda_max,
-    predict_two_trend,
 )
 from .errors import (
     ConvergenceError,
@@ -35,9 +33,11 @@ from .strategy import (
     BacktestReport,
     PerformanceStats,
     StrategyConfig,
+    TwoTrendPrediction,
     moving_average_trend,
     optimal_allocation,
     performance_stats,
+    predict_two_trend,
     realized_vol,
     run_backtest,
     step_wealth,

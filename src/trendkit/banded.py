@@ -191,7 +191,10 @@ def gram_banded(*ops: DiffOperator) -> BandedSymMatrix:
 
 def interleave(*parts) -> np.ndarray:
     """Merge P parts entry by entry in the row order of :func:`gram_banded`:
-    entry i of part q goes to position P*i + q."""
+    entry i of part q goes to position P*i + q. A lone part is returned
+    as it is, not copied."""
+    if len(parts) == 1:
+        return np.asarray(parts[0], dtype=float)
     out = np.empty(sum(len(part) for part in parts))
     for q, part in enumerate(parts):
         out[q::len(parts)] = part

@@ -6,10 +6,12 @@ ceiling (``lambda_max``), which anchors every selection rule here:
 * ``lambda_max``            the closed-form ceiling itself
 * ``cv_filter``             rolling-window cross-validation over a geometric
   grid bracketing the per-window ceilings, its solves spread over every CPU
-* ``predict_two_trend``     switch between a short-horizon and a long-horizon
-  trend based on how far the data sits from the long one
+* ``forecast_trend``        the extrapolation each cross-validation fold scores
 * ``hp_lambda_for_window``  the quadratic-filter weight spectrally matched to
   a moving average of a given width
+
+The trend models that use these weights, and their window geometries, are
+:mod:`trendkit.strategy`'s.
 """
 
 from __future__ import annotations
@@ -33,12 +35,9 @@ from .series import as_values
 __all__ = [
     "CVConfig",
     "CVReport",
-    "TwoTrendPrediction",
     "lambda_max",
     "cv_filter",
     "forecast_trend",
-    "global_cv_config",
-    "predict_two_trend",
     "hp_lambda_for_window",
     "SPECTRAL_RATIO",
 ]
@@ -53,23 +52,19 @@ SPECTRAL_RATIO = 10.27
 class CVConfig:
     """Window geometry for rolling cross-validation.
 
-    T1 is the training width, T2 the test/forecast width, T3 the
-    long-horizon test width of the two-trend predictor (defaults to
-    4 * T2). m test windows feed the grid bounds; p training folds score
-    each grid point; the grid has n_grid geometric points.
+    T1 is the training width, T2 the test/forecast width. m test windows
+    feed the grid bounds; p training folds score each grid point; the grid
+    has n_grid geometric points.
     """
 
     T1: int = 400
     T2: int = 50
-    T3: Optional[int] = None
     m: int = 12
     p: int = 12
     n_grid: int = 15
     order: int = 2
 
     def __post_init__(self):
-        if self.T3 is None:
-            object.__setattr__(self, "T3", 4 * self.T2)
         if not self.T1 > self.T2 >= 1:
             raise ValueError(f"need T1 > T2 >= 1, got T1={self.T1}, T2={self.T2}")
         if self.n_grid < 2:
@@ -102,20 +97,6 @@ class CVReport:
             raise ValueError("forecast errors must be finite and non-negative")
         if self.lambda_star not in self.grid:
             raise ValueError("the selected weight must come from the grid")
-
-
-@dataclass(frozen=True)
-class TwoTrendPrediction:
-    """Chosen trend path plus both candidates and the switch statistics."""
-
-    prediction: np.ndarray
-    branch: str  # "local" or "global"
-    local_trend: np.ndarray
-    global_trend: np.ndarray
-    lambda_local: float
-    lambda_global: float
-    sigma: float
-    deviation: float
 
 
 def lambda_max(y, order: int) -> float:
@@ -291,53 +272,6 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
         fold_errors=fold_errors,
         lambda_mean=lam_mean,
         lambda_std=lam_std,
-    )
-
-
-def global_cv_config(cfg: CVConfig) -> CVConfig:
-    """Cross-validation geometry for the long horizon: test width T3,
-    training width 4 * T3 (the same training-to-test proportion the
-    short horizon uses)."""
-    return CVConfig(
-        T1=4 * cfg.T3, T2=cfg.T3, m=cfg.m, p=cfg.p,
-        n_grid=cfg.n_grid, order=cfg.order,
-    )
-
-
-def predict_two_trend(y, cfg: CVConfig) -> TwoTrendPrediction:
-    """Trend prediction switching between a short and a long horizon.
-
-    Both horizons are cross-validated independently (test width T2 for
-    the local trend, T3 for the global one) and each trend is fitted
-    over a trailing window of its own training width. If the last
-    observation sits within one standard deviation of the global trend
-    the local trend is used, otherwise the signal is considered
-    stretched and the global trend wins.
-    """
-    values = as_values(y)
-    local_report = cv_filter(values, cfg)
-    global_cfg = global_cv_config(cfg)
-    global_report = cv_filter(values, global_cfg)
-
-    local_window = values[-cfg.T1:]
-    global_window = values[-global_cfg.T1:]
-    local_fit = l1_filter(local_window, local_report.lambda_star, order=cfg.order)
-    global_fit = l1_filter(global_window, global_report.lambda_star, order=cfg.order)
-
-    residuals = global_window - global_fit.trend
-    sigma = float(np.std(residuals, ddof=1))
-    deviation = float(abs(global_window[-1] - global_fit.trend[-1]))
-    branch = "local" if deviation < sigma else "global"
-    prediction = local_fit.trend if branch == "local" else global_fit.trend
-    return TwoTrendPrediction(
-        prediction=prediction,
-        branch=branch,
-        local_trend=local_fit.trend,
-        global_trend=global_fit.trend,
-        lambda_local=local_report.lambda_star,
-        lambda_global=global_report.lambda_star,
-        sigma=sigma,
-        deviation=deviation,
     )
 
 

@@ -282,17 +282,8 @@ def cmd_calibrate(args) -> int:
         for lam, err in zip(report.grid, report.errors):
             writer.writerow([_fmt(lam), _fmt(err)])
 
-    document = {
-        "config": asdict(cfg),
-        "grid": report.grid,
-        "errors": report.errors,
-        "fold_errors": report.fold_errors,
-        "lambda_star": report.lambda_star,
-        "lambda_mean": report.lambda_mean,
-        "lambda_std": report.lambda_std,
-    }
     report_path = _out_path(args, "report", input_path, ".cv-report.json")
-    write_report(report_path, document)
+    write_report(report_path, {"config": asdict(cfg), **asdict(report)})
     print(f"lambda_star = {_fmt(report.lambda_star)} ({report_path})")
     return EXIT_OK
 

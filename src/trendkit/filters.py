@@ -144,8 +144,13 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     lam = _check_weight("lam", lam)
     if order not in (1, 2):  # here too, as weight 0 builds no operator
         raise ValueError(f"order must be 1 or 2, got {order}")
-    trend = (values.copy() if lam == 0
-             else band_solve(hp_banded(diff_operator(order, len(values)), lam), values))
+    if lam == 0:
+        return FilterResult(values.copy(), None, lam, None, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = hp_banded(diff_operator(order, len(values)), lam)
+    if not np.isfinite(system.bands).all():
+        raise NumericalError(f"quadratic filter system overflows at weight {lam:g}")
+    trend = band_solve(system, values)
     if not np.isfinite(trend).all():
         raise NumericalError("quadratic filter solve overflowed on finite data")
     return FilterResult(trend, None, lam, None, values)
@@ -251,8 +256,8 @@ def l1_objective(y, x, lam: float, order: int) -> float:
     """Primal objective 1/2 ||y - x||^2 + lam ||D x||_1."""
     y = as_values(y)
     x = as_values(x)
-    op = diff_operator(order, len(y))
-    return 0.5 * float(np.sum((y - x) ** 2)) + lam * float(np.sum(np.abs(op.apply(x))))
+    penalty = float(np.sum(np.abs(diff_operator(order, len(y)).apply(x))))
+    return 0.5 * float(np.sum((y - x) ** 2)) + lam * penalty
 
 
 def l1tc_objective(y, x, lam1: float, lam2: float) -> float:

@@ -15,11 +15,13 @@ cap keeps every iterate strictly inside the box.
 Each point is evaluated once: :meth:`IpmState.at` computes its slacks and
 dual residual (its one product Q nu) when the line search tries it, and
 the accepted trial is the next iterate as it stands. A non-finite Newton
-system (a slack rounded to zero) raises :class:`ConvergenceError`.
+system (a slack rounded to zero) or duality gap (box bounds near the
+float limit) raises :class:`ConvergenceError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,9 +153,10 @@ def solve_box_qp(problem: BoxQP, tol: float = 1e-8, max_iter: int = 200) -> IpmS
     """Minimize the box QP to surrogate-gap and KKT tolerance ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # Once a slack rounds to zero the Newton system is non-finite and the
-    # loop raises ConvergenceError; numpy's warnings would only repeat that.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Once a slack rounds to zero the Newton system is non-finite, and once
+    # the gap overflows the barrier is undefined: either way the loop raises
+    # ConvergenceError, and numpy's warnings would only repeat that.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = problem.dim
         m = 2 * p
         state = initial_state(problem)
@@ -163,6 +166,9 @@ def solve_box_qp(problem: BoxQP, tol: float = 1e-8, max_iter: int = 200) -> IpmS
 
         while True:
             eta = gaps[-1]
+            if not math.isfinite(eta):
+                raise ConvergenceError(f"non-finite duality gap {eta:g} "
+                                       f"after {iterations} iterations")
             converged = eta <= tol and float(np.max(np.abs(state.r_dual))) <= tol
             if converged or iterations >= max_iter:
                 break

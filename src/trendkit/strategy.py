@@ -9,6 +9,11 @@ wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
 path exactly. The moving average and the quadratic filter are linear, so
 their drift paths are computed once per backtest; the L1 models fit daily.
+
+The L1 models read a local horizon (training T1, test T2) and a global one
+(training 4 T3, test T3); ``l1-two-trend`` switches between the two. Each
+day a horizon's weight is cross-validated on the history to date and its
+trailing training window is filtered at that weight.
 """
 
 from __future__ import annotations
@@ -18,19 +23,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .calibration import (
-    CVConfig,
-    cv_filter,
-    global_cv_config,
-    hp_lambda_for_window,
-    predict_two_trend,
-)
+from .calibration import CVConfig, cv_filter, hp_lambda_for_window
 from .errors import DataError, InsufficientHistoryError, NumericalError
-from .filters import hp_filter, l1_filter
+from .filters import FilterResult, hp_filter, l1_filter
 from .series import Series, as_values
 
 __all__ = [
     "StrategyConfig",
+    "TwoTrendPrediction",
     "PerformanceStats",
     "BacktestReport",
     "TREND_MODELS",
@@ -38,6 +38,7 @@ __all__ = [
     "realized_vol",
     "optimal_allocation",
     "step_wealth",
+    "predict_two_trend",
     "run_backtest",
     "performance_stats",
 ]
@@ -90,11 +91,12 @@ class StrategyConfig:
         if self.hp_lambda is None:
             object.__setattr__(self, "hp_lambda", hp_lambda_for_window(self.hp_window))
 
-    def cv_config(self) -> CVConfig:
-        return CVConfig(
-            T1=self.T1, T2=self.T2, T3=self.T3,
-            m=self.cv_m, p=self.cv_p, n_grid=self.n_grid, order=2,
-        )
+    def cv_configs(self) -> tuple[CVConfig, CVConfig]:
+        """Cross-validation geometries of the local horizon (training T1,
+        test T2) and the global one (training 4 T3, test T3)."""
+        shared = dict(m=self.cv_m, p=self.cv_p, n_grid=self.n_grid, order=2)
+        return (CVConfig(T1=self.T1, T2=self.T2, **shared),
+                CVConfig(T1=4 * self.T3, T2=self.T3, **shared))
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,58 @@ def _last_slope(trend: np.ndarray) -> float:
     return float(trend[-1] - trend[-2])
 
 
+@dataclass(frozen=True)
+class TwoTrendPrediction:
+    """Chosen trend path plus both candidates and the switch statistics."""
+
+    prediction: np.ndarray
+    branch: str  # "local" or "global"
+    local_trend: np.ndarray
+    global_trend: np.ndarray
+    lambda_local: float
+    lambda_global: float
+    sigma: float
+    deviation: float
+
+
+def _cv_fit(values: np.ndarray, cv: CVConfig) -> FilterResult:
+    """L1 fit of the trailing training window at the cross-validated weight."""
+    report = cv_filter(values, cv)
+    return l1_filter(values[-cv.T1:], report.lambda_star, order=cv.order)
+
+
+def predict_two_trend(y, local: CVConfig, long: CVConfig) -> TwoTrendPrediction:
+    """Trend prediction switching between a local and a global horizon.
+
+    Each horizon is cross-validated on all of ``y`` with its own geometry
+    and fitted over its trailing training window. If the last observation
+    sits within one standard deviation of the global trend the local trend
+    is used; otherwise the signal is stretched and the global trend wins."""
+    values = as_values(y)
+    local_fit = _cv_fit(values, local)
+    global_fit = _cv_fit(values, long)
+    residuals = global_fit.observed - global_fit.trend
+    sigma = float(np.std(residuals, ddof=1))
+    deviation = float(abs(residuals[-1]))
+    branch = "local" if deviation < sigma else "global"
+    return TwoTrendPrediction(
+        prediction=local_fit.trend if branch == "local" else global_fit.trend,
+        branch=branch,
+        local_trend=local_fit.trend,
+        global_trend=global_fit.trend,
+        lambda_local=local_fit.lam,
+        lambda_global=global_fit.lam,
+        sigma=sigma,
+        deviation=deviation,
+    )
+
+
 def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
     """Returns (estimate(t) -> mu, first usable index).
 
     Every estimator sees only log prices up to and including t.
     """
-    cv = cfg.cv_config()
-
+    local, long = cfg.cv_configs()  # a bad geometry is an error for every model
     if cfg.trend_model == "ma":
         mu_path = moving_average_trend(np.exp(log_p), cfg.ma_window)
 
@@ -232,24 +279,18 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         return estimate, window - 1
 
     if cfg.trend_model in ("l1-local", "l1-global"):
-        l1_cv = cv if cfg.trend_model == "l1-local" else global_cv_config(cv)
+        cv = local if cfg.trend_model == "l1-local" else long
 
         def estimate(t):
-            hist = log_p[:t + 1]
-            report = cv_filter(hist, l1_cv)
-            fit = l1_filter(hist[-l1_cv.T1:], report.lambda_star, order=2)
-            return _last_slope(fit.trend)
+            return _last_slope(_cv_fit(log_p[:t + 1], cv).trend)
 
-        return estimate, l1_cv.min_history - 1
+        return estimate, cv.min_history - 1
 
     # l1-two-trend
-    need = max(cv.min_history, global_cv_config(cv).min_history)
-
     def estimate(t):
-        prediction = predict_two_trend(log_p[:t + 1], cv)
-        return _last_slope(prediction.prediction)
+        return _last_slope(predict_two_trend(log_p[:t + 1], local, long).prediction)
 
-    return estimate, need - 1
+    return estimate, max(local.min_history, long.min_history) - 1
 
 
 def run_backtest(prices, rates: Union[float, Series] = 0.0,

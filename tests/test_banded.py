@@ -193,6 +193,11 @@ def test_interleave_takes_any_number_of_parts():
     np.testing.assert_array_equal(interleave([0.0, 3.0], [1.0, 4.0], [2.0]), np.arange(5.0))
 
 
+def test_interleave_returns_a_lone_part_uncopied():
+    part = np.arange(4.0)
+    assert interleave(part) is part
+
+
 def test_band_solve_identity():
     A = BandedSymMatrix(2, 0, np.ones((1, 2)))
     np.testing.assert_array_equal(band_solve(A, np.array([4.0, 5.0])), [4.0, 5.0])

@@ -5,13 +5,12 @@ from trendkit.calibration import (
     CVConfig,
     cv_filter,
     forecast_trend,
-    global_cv_config,
     hp_lambda_for_window,
     lambda_max,
-    predict_two_trend,
 )
 from trendkit.errors import InsufficientHistoryError
 from trendkit.filters import l1_filter
+from trendkit.strategy import StrategyConfig, predict_two_trend
 from trendkit.synth import default_params
 
 from oracles import dense_lambda_max
@@ -120,11 +119,12 @@ class TestCvFilter:
 
 
 class TestPredictTwoTrend:
-    CFG = CVConfig(T1=80, T2=20, T3=40, m=3, p=3, n_grid=5)
+    CFG = StrategyConfig(T1=80, T2=20, T3=40, cv_m=3, cv_p=3, n_grid=5)
+    GEOMETRIES = CFG.cv_configs()
 
     def test_affine_input_both_branches_agree(self):
         y = 0.3 * np.arange(500) + 2.0
-        prediction = predict_two_trend(y, self.CFG)
+        prediction = predict_two_trend(y, *self.GEOMETRIES)
         k = min(len(prediction.local_trend), len(prediction.global_trend))
         np.testing.assert_allclose(
             prediction.local_trend[-k:], prediction.global_trend[-k:], atol=1e-5
@@ -135,7 +135,7 @@ class TestPredictTwoTrend:
         rng = np.random.default_rng(14)
         for seed in range(4):
             y = rng.normal(size=500).cumsum() + 0.1 * np.arange(500)
-            prediction = predict_two_trend(y, self.CFG)
+            prediction = predict_two_trend(y, *self.GEOMETRIES)
             expected = "local" if prediction.deviation < prediction.sigma else "global"
             assert prediction.branch == expected
             chosen = (prediction.local_trend if prediction.branch == "local"
@@ -150,14 +150,17 @@ class TestPredictTwoTrend:
         _, y = simulate_model4(
             default_params(4, n=500, p=1.0, sigma=2.0, theta=0.1, seed=14)
         )
-        prediction = predict_two_trend(y, self.CFG)
+        prediction = predict_two_trend(y, *self.GEOMETRIES)
         assert prediction.deviation >= prediction.sigma
         assert prediction.branch == "global"
 
     def test_global_config_scales_training_window(self):
-        g = global_cv_config(self.CFG)
+        local, g = self.GEOMETRIES
+        assert (local.T1, local.T2) == (self.CFG.T1, self.CFG.T2)
         assert g.T2 == self.CFG.T3
         assert g.T1 == 4 * self.CFG.T3
+        for cv in (local, g):
+            assert (cv.m, cv.p, cv.n_grid, cv.order) == (3, 3, 5, 2)
 
 
 class TestScalingExponent:
@@ -226,5 +229,3 @@ def test_config_validation():
         CVConfig(n_grid=1)
     with pytest.raises(ValueError):
         CVConfig(order=3)
-    cfg = CVConfig(T2=30)
-    assert cfg.T3 == 120

@@ -1,15 +1,18 @@
+import argparse
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from trendkit.calibration import lambda_max
+from trendkit.calibration import CVConfig, lambda_max
 from trendkit.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     ingest_csv,
     main,
     read_table,
@@ -535,6 +538,32 @@ def test_overflowing_hp_solve_is_numerical_failure(tmp_path, capsys):
         assert main(["filter", str(f), "--kind", "hp", "--lambda", "1000"]) == EXIT_NUMERICAL
     assert "quadratic filter solve overflowed" in capsys.readouterr().err
     assert not (tmp_path / "big.trend.csv").exists()
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["--kind", "l1t", "--lambda", "1e308"], "non-finite duality gap inf"),
+    (["--kind", "l1tc", "--lambda1", "1e308", "--lambda2", "1"], "non-finite duality gap inf"),
+    (["--kind", "hp", "--lambda", "1e308"], "quadratic filter system overflows"),
+    (["--kind", "hp", "--order", "1", "--lambda", "1e308"], "quadratic filter system overflows"),
+], ids=["l1t", "l1tc", "hp", "hp-order1"])
+def test_huge_weight_is_numerical_failure(tmp_path, capsys, weights, message):
+    f = tmp_path / "walk.csv"
+    walk = np.cumsum(np.random.default_rng(0).standard_normal(50))
+    write_lines(f, ["date,value", *(f"{i},{float(v)!r}" for i, v in enumerate(walk))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", str(f), *weights]) == EXIT_NUMERICAL
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "walk.trend.csv").exists()
+
+
+def test_cv_config_fields_are_the_calibrate_geometry_flags():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["calibrate"]._actions}
+    io = {"help", "input", "column", "report", "errors_out", "config"}
+    assert dests - io == {f.name for f in fields(CVConfig)}
+    assert io <= dests
 
 
 def test_unknown_command_is_usage_error():

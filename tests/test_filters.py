@@ -346,7 +346,11 @@ def test_nonfinite_data_is_data_error(walk, call, bad):
     (lambda y: l1tc_filter(y, 0.0, 1.0), 2),
     (lambda y: lambda_max(y, 1), 1),
     (lambda y: lambda_max(y, 2), 2),
-], ids=["l1o1", "l1o2", "l1tc", "l1tc-lam2-only", "lambda_max1", "lambda_max2"])
+    (lambda x: l1_objective(np.zeros(4), x, 1.0, 2), 2),
+    (lambda x: l1_objective(np.zeros(4), x, 1.0, 1), 1),
+    (lambda x: l1tc_objective(np.zeros(4), x, 1.0, 1.0), 1),
+], ids=["l1o1", "l1o2", "l1tc", "l1tc-lam2-only", "lambda_max1", "lambda_max2",
+        "l1_objective2", "l1_objective1", "l1tc_objective"])
 def test_overflowing_differences_are_data_error(call, order):
     y = np.array([1e308, -1e308, 1e308, -1e308])
     with warnings.catch_warnings():
@@ -362,6 +366,21 @@ def test_overflowing_hp_solve_is_numerical_error(order):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^quadratic filter solve overflowed"):
             hp_filter(np.full(4, 1e308), 1000.0, order=order)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda y: l1_filter(y, 1e308), "^non-finite duality gap inf after 0 iterations$"),
+    (lambda y: l1tc_filter(y, 1e308, 1.0), "^non-finite duality gap inf after 0 iterations$"),
+    (lambda y: l1_filter(y, 1e300), "^interior-point solver stopped after 200 iterations"),
+    (lambda y: hp_filter(y, 1e308, order=2), "^quadratic filter system overflows at weight 1e"),
+    (lambda y: hp_filter(y, 1e308, order=1), "^quadratic filter system overflows at weight 1e"),
+], ids=["l1o2-1e308", "l1tc-1e308", "l1o2-1e300", "hp2-1e308", "hp1-1e308"])
+def test_huge_weight_is_numerical_error(call, message):
+    y = np.cumsum(np.random.default_rng(0).standard_normal(50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            call(y)
 
 
 @pytest.mark.parametrize("call, n, order", [

@@ -183,10 +183,14 @@ def test_backtest_reads_cv_filter_through_the_strategy_binding(monkeypatch):
 
     monkeypatch.setattr(strategy, "cv_filter", counted)
     prices = 100 * np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal(95)))
-    cfg = strategy.StrategyConfig(trend_model="l1-local", vol_window=20, T1=60, T2=15, T3=30,
-                                  cv_m=2, cv_p=2, n_grid=4)
-    report = strategy.run_backtest(prices, 0.0, cfg)
-    assert len(calls) == len(report.allocations) > 0
+    # T3 = T2 makes the global horizon's geometry the local one's, so every model fits
+    for model, per_day in (("l1-local", 1), ("l1-global", 1), ("l1-two-trend", 2)):
+        calls.clear()
+        cfg = strategy.StrategyConfig(trend_model=model, vol_window=20, T1=60, T2=15, T3=15,
+                                      cv_m=2, cv_p=2, n_grid=4)
+        report = strategy.run_backtest(prices, 0.0, cfg)
+        assert len(calls) == per_day * len(report.allocations) > 0
+    assert trendkit.predict_two_trend is strategy.predict_two_trend
 
 
 def test_every_exported_name_exists():

@@ -242,6 +242,15 @@ def test_nonfinite_newton_system_fails_without_warnings():
         with pytest.raises(ConvergenceError, match="non-finite Newton system"):
             solve_box_qp(problem)
 
+def test_overflowing_gap_is_convergence_error():
+    # bounds of 1e308 make the starting gap 2p * 1e308 = inf: no barrier weight
+    problem = _identity_problem([1.0, -1.0], [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="^non-finite duality gap inf after 0 "):
+            solve_box_qp(problem)
+
+
 def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     # An exception kept across the retries held the Newton step's frame by
     # its traceback, pinning the iterate's arrays until a collector pass.

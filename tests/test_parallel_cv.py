@@ -28,7 +28,6 @@ from trendkit.calibration import (
     _grid_bounds,
     cv_filter,
     forecast_trend,
-    global_cv_config,
     lambda_max,
 )
 from trendkit.errors import ConvergenceError, TrendkitError
@@ -37,7 +36,7 @@ from trendkit.strategy import StrategyConfig
 from trendkit.synth import default_params, simulate_model1
 
 REFERENCE = CVConfig(T1=400, T2=50, m=12, p=12, n_grid=15)
-L1_GLOBAL = global_cv_config(StrategyConfig().cv_config())
+L1_GLOBAL = StrategyConfig().cv_configs()[1]
 POOLED = CVConfig(T1=400, T2=50, m=4, p=8, n_grid=15)  # 120 solves
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from trendkit.calibration import cv_filter, global_cv_config, hp_lambda_for_window
+from trendkit.calibration import cv_filter, hp_lambda_for_window
 from trendkit.errors import DataError, InsufficientHistoryError
 from trendkit.filters import hp_filter
 from trendkit.series import Series
@@ -251,7 +251,7 @@ class TestRunBacktest:
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     def test_history_boundary(self, model):
         cfg = small_cfg(model)
-        local, glob = cfg.cv_config(), global_cv_config(cfg.cv_config())
+        local, glob = cfg.cv_configs()
         assert (local.min_history, glob.min_history) == (90, 180)
         need = {
             "l1-local": local.min_history,
@@ -268,9 +268,8 @@ class TestRunBacktest:
             run_backtest(values[:-1], 0.0, cfg)
 
     def test_cv_history_boundary(self):
-        local = small_cfg("l1-local").cv_config()
         log_p = np.cumsum(0.01 * np.random.default_rng(21).standard_normal(200))
-        for cv in (local, global_cv_config(local)):
+        for cv in small_cfg("l1-local").cv_configs():
             cv_filter(log_p[:cv.min_history], cv)
             with pytest.raises(InsufficientHistoryError):
                 cv_filter(log_p[:cv.min_history - 1], cv)
@@ -319,6 +318,16 @@ class TestHpDrift:
         report = run_backtest(values, 0.0, StrategyConfig(trend_model="hp", hp_lambda=1e20))
         assert report.start_index == 519
         assert report.failures == list(range(519, 900))
+        assert np.all(report.allocations.values == 0.0)
+
+    def test_overflowing_weight_fails_every_day(self):
+        rng = np.random.default_rng(2)
+        values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(600)))
+        cfg = StrategyConfig(trend_model="hp", hp_lambda=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_backtest(values, 0.0, cfg)
+        assert report.failures == list(range(519, 600))
         assert np.all(report.allocations.values == 0.0)
 
     def test_short_history_is_insufficient(self):
