@@ -161,7 +161,9 @@ def _cli_inputs() -> dict:
         "bad.csv": "date,value\n0,1.0\n1,oops\n",
         "prices.csv": _csv(value=100 * np.exp(np.cumsum(drift))),
         "rates.csv": _csv(value=np.full(400, 1e-4)),
+        "rates-late.csv": "date,value\n" + "".join(f"{t},0.0001\n" for t in range(1000, 1400)),
         "short.csv": _csv(value=np.full(40, 75.0)),
+        "week.csv": "date,value\n2020-W01-3,1.0\n2020-W01-4,2.0\n2020-W01-5,3.0\n",
         # a falling market that triples five days from the end, the last day,
         # and a rising one that loses 70% five days from the end
         "ruin.csv": _csv(value=fall * np.where(np.arange(400) >= 395, 3.0, 1.0)),
@@ -235,6 +237,7 @@ def _cli_cases():
     yield "filter-multi-std-constant", ["filter", "flat.csv", "--kind", "l1t-multi",
                                         "--standardize", "--lambda", "1"]
     yield "filter-auto-short", [*walk, "--auto"]
+    yield "filter-week-dates", ["filter", "week.csv", "--lambda", "1"]
     # numerical failures
     yield "filter-index-level", ["filter", "index.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
@@ -264,7 +267,14 @@ def _cli_cases():
                                "--risk-aversion", "2", "--alpha-min", "0", "--alpha-max",
                                "0.5", "--hp-lambda", "500", "--ma-window", "40", *trade]
     yield "backtest-short", ["backtest", "short.csv"]
+    yield "backtest-ma-short", ["backtest", "short.csv", "--model", "ma"]
+    yield "backtest-rates-other-dates", ["backtest", "prices.csv", "--model", "ma", "--rates",
+                                         "rates-late.csv", *trade]
+    yield "backtest-rate-and-rates", ["backtest", "prices.csv", "--model", "ma", "--rate",
+                                      "0.5", "--rates", "rates.csv", *trade]
     ma = ["--model", "ma", "--ma-window", "20", "--vol-window", "20"]
+    yield "backtest-ma-local-windows-unread", ["backtest", "prices.csv", *ma, "--t1", "10",
+                                               "--t2", "15"]
     yield "backtest-ruin", ["backtest", "ruin.csv", *ma]
     yield "backtest-ruin-last-day", ["backtest", "ruin-last.csv", *ma]
     yield "backtest-ruin-levered", ["backtest", "crash.csv", *ma, "--alpha-max", "4"]

@@ -1,6 +1,6 @@
 """Command-line surface: filter, calibrate, simulate, backtest.
 
-Data flows through two-column CSV files (``date,value`` with ISO dates
+Data flows through two-column CSV files (``date,value`` with YYYY-MM-DD dates
 or integer indices) and JSON report documents. Exit codes are stable:
 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
@@ -55,17 +55,12 @@ def _parse_time(token: str, line_no: int):
         return int(token)
     except ValueError:
         pass
-    try:
-        datetime.date.fromisoformat(token)
-        return token
+    try:  # calendar dates only: newer Pythons also parse week and ordinal dates
+        if datetime.date.fromisoformat(token).isoformat() == token:
+            return token
     except ValueError:
-        raise DataError(
-            f"line {line_no}: time {token!r} is neither an integer nor YYYY-MM-DD"
-        )
-
-
-def _time_key(t):
-    return t if isinstance(t, int) else datetime.date.fromisoformat(t)
+        pass
+    raise DataError(f"line {line_no}: time {token!r} is neither an integer nor YYYY-MM-DD")
 
 
 def read_table(path):
@@ -104,11 +99,10 @@ def read_table(path):
                 raise DataError(
                     f"{path}: line {line_no}: cannot parse {cell!r} as a number"
                 )
-    keys = [_time_key(t) for t in times]
-    for i, (line_no, _) in enumerate(lines[1:], start=1):
-        if type(keys[i]) is not type(keys[0]):
+    for i, (line_no, _) in enumerate(lines[1:], start=1):  # YYYY-MM-DD sorts as dates do
+        if type(times[i]) is not type(times[0]):
             raise DataError(f"{path}: line {line_no}: mixed integer and date stamps")
-        if keys[i] <= keys[i - 1]:
+        if times[i] <= times[i - 1]:
             raise DataError(
                 f"{path}: line {line_no}: time {times[i]!r} not after {times[i - 1]!r}"
             )
@@ -310,6 +304,8 @@ def cmd_simulate(args) -> int:
 def cmd_backtest(args) -> int:
     input_path = args["input"]
     prices = ingest_csv(input_path, column=args.get("column"))
+    if "rate" in args and "rates" in args:
+        raise UsageError("give --rate or --rates, not both")
     rates = {"rates": args["rate"]} if "rate" in args else {}
     if args.get("rates"):
         rates["rates"] = ingest_csv(args["rates"])

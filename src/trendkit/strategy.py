@@ -7,13 +7,15 @@ variance as the trailing mean of squared log returns, allocates the
 mean-variance fraction clipped to the configured bounds, and compounds
 wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
-path exactly. The moving average and the quadratic filter are linear, so
-their drift paths are computed once per backtest; the L1 models fit daily.
+path exactly. The history each model needs follows from its config and is
+checked before the model is built. The moving average and the quadratic
+filter are linear, so their drift paths are computed once per backtest.
 
-The L1 models read a local horizon (training T1, test T2) and a global one
-(training 4 T3, test T3); ``l1-two-trend`` switches between the two. Each
-day a horizon's weight is cross-validated on the history to date and its
-trailing training window is filtered at that weight.
+The L1 models fit daily, and only they read the cross-validation windows:
+a local horizon (training T1, test T2) and a global one (training 4 T3,
+test T3); ``l1-two-trend`` switches between the two. Each day a horizon's
+weight is cross-validated on the history to date and its trailing
+training window is filtered at that weight.
 """
 
 from __future__ import annotations
@@ -238,59 +240,51 @@ def predict_two_trend(y, local: CVConfig, long: CVConfig) -> TwoTrendPrediction:
     )
 
 
-def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
-    """Returns (estimate(t) -> mu, first usable index).
+def _horizons(cfg: StrategyConfig) -> tuple:
+    """The cross-validation geometries an L1 model reads."""
+    local, long = cfg.cv_configs()
+    return {"l1-local": (local,), "l1-global": (long,)}.get(cfg.trend_model, (local, long))
 
-    Every estimator sees only log prices up to and including t.
-    """
-    local, long = cfg.cv_configs()  # a bad geometry is an error for every model
+
+def _first_day(cfg: StrategyConfig) -> int:
+    """First date the trend model can estimate, from the config alone."""
     if cfg.trend_model == "ma":
-        mu_path = moving_average_trend(np.exp(log_p), cfg.ma_window)
+        return cfg.ma_window
+    if cfg.trend_model == "hp":
+        return cfg.hp_window - 1
+    return max(cv.min_history for cv in _horizons(cfg)) - 1
 
-        def estimate(t):
-            return mu_path[t]
 
-        return estimate, cfg.ma_window
+def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
+    """Returns estimate(t) -> mu for t >= ``_first_day(cfg)``; it sees only
+    log prices up to and including t."""
+    if cfg.trend_model == "ma":
+        return moving_average_trend(np.exp(log_p), cfg.ma_window).__getitem__
 
     if cfg.trend_model == "hp":
         # The last slope of the fit A^{-1}y on a trailing window is c'A^{-1}y
         # = (A^{-1}c)'y for c = e_T - e_{T-1}, as A = I + 2 lam D'D is
         # symmetric: one filtered weight vector serves every window.
         window = cfg.hp_window
+        slope = np.concatenate([np.zeros(window - 2), [-1.0, 1.0]])
         try:
-            slope = np.zeros(window)
-            slope[-2:] = (-1.0, 1.0)
             weights = hp_filter(slope, cfg.hp_lambda, order=2).trend
-        except (ValueError, NumericalError) as exc:
+        except NumericalError as exc:
             error = exc  # raised on every decision day, as each day's fit would
 
             def estimate(t):
                 raise error.with_traceback(None)
 
-            return estimate, window - 1
+            return estimate
+        windows = np.lib.stride_tricks.sliding_window_view(log_p, window)
         mu_path = np.full(len(log_p), np.nan)
-        if len(log_p) >= window:
-            windows = np.lib.stride_tricks.sliding_window_view(log_p, window)
-            mu_path[window - 1:] = windows @ weights
+        mu_path[window - 1:] = windows @ weights
+        return mu_path.__getitem__
 
-        def estimate(t):
-            return mu_path[t]
-
-        return estimate, window - 1
-
-    if cfg.trend_model in ("l1-local", "l1-global"):
-        cv = local if cfg.trend_model == "l1-local" else long
-
-        def estimate(t):
-            return _last_slope(_cv_fit(log_p[:t + 1], cv).trend)
-
-        return estimate, cv.min_history - 1
-
-    # l1-two-trend
-    def estimate(t):
-        return _last_slope(predict_two_trend(log_p[:t + 1], local, long).prediction)
-
-    return estimate, max(local.min_history, long.min_history) - 1
+    horizons = _horizons(cfg)
+    if len(horizons) == 1:
+        return lambda t: _last_slope(_cv_fit(log_p[:t + 1], *horizons).trend)
+    return lambda t: _last_slope(predict_two_trend(log_p[:t + 1], *horizons).prediction)
 
 
 def run_backtest(prices, rates: Union[float, Series] = 0.0,
@@ -314,18 +308,23 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
             raise DataError(
                 f"rates series length {len(rates)} does not match prices {n}"
             )
+        differs = np.flatnonzero(rates.times != prices.times)
+        if len(differs):
+            bad = int(differs[0])
+            raise DataError(f"rates date {rates.times[bad]} at position {bad} does not "
+                            f"match the price date {prices.times[bad]}")
         rate_at = rates.values
         mean_rate = float(np.mean(rates.values))
     else:
         rate_at = np.full(n, float(rates))
         mean_rate = float(rates)
 
-    estimate_mu, first_mu = _make_mu_estimator(cfg, log_p)
-    t0 = max(first_mu, cfg.vol_window)
+    t0 = max(_first_day(cfg), cfg.vol_window)
     if t0 >= n - 1:
         raise InsufficientHistoryError(
             f"model {cfg.trend_model!r} needs at least {t0 + 2} samples, got {n}"
         )
+    estimate_mu = _make_mu_estimator(cfg, log_p)
 
     variance = realized_vol(values, cfg.vol_window)
     wealth = np.empty(n)

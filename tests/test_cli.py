@@ -85,6 +85,16 @@ class TestIngest:
         series = ingest_csv(f, column="b")
         np.testing.assert_array_equal(series.values, [2.0, 4.0])
 
+    # week (extended and basic), week without a day, ordinal, unpadded
+    @pytest.mark.parametrize("stamp", ["2020-W01-4", "2020W014", "2020-W01", "2020-002",
+                                       "2020-1-2"])
+    def test_only_calendar_dates_are_read(self, tmp_path, stamp):
+        f = tmp_path / "w.csv"
+        write_lines(f, ["date,value", "2020-01-01,1.0", f"{stamp},2.0", "2020-01-03,3.0"])
+        with pytest.raises(DataError, match=f"^line 3: time '{stamp}' is neither an "
+                                            "integer nor YYYY-MM-DD$"):
+            ingest_csv(f)
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         f1, f2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -449,6 +459,54 @@ class TestBacktestCommand:
     def test_short_history_is_data_error(self, tmp_path):
         f = self.make_prices(tmp_path, n=40)
         assert main(["backtest", str(f), "--model", "l1-global"]) == EXIT_DATA
+
+    def test_short_ma_history_names_the_backtest_need(self, tmp_path, capsys):
+        f = self.make_prices(tmp_path, n=15)
+        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+                     "--vol-window", "5"]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: model 'ma' needs at least 22 samples, got 15\n"
+
+    @pytest.mark.parametrize("model, code", [
+        ("ma", EXIT_OK), ("hp", EXIT_OK),
+        ("l1-local", EXIT_USAGE), ("l1-global", EXIT_USAGE), ("l1-two-trend", EXIT_USAGE),
+    ])
+    def test_only_l1_models_read_the_local_windows(self, tmp_path, capsys, model, code):
+        f = self.make_prices(tmp_path, n=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", model, "--ma-window", "20",
+                         "--vol-window", "20", "--t3", "20", "--t1", "10",
+                         "--t2", "15"]) == code
+        if code == EXIT_USAGE:
+            assert "need T1 > T2 >= 1, got T1=10, T2=15" in capsys.readouterr().err
+
+    def test_rates_on_other_dates_are_data_error(self, tmp_path, capsys):
+        f = self.make_prices(tmp_path, n=200)
+        rates = tmp_path / "r.csv"
+        write_csv(rates, np.arange(1000, 1200), [("value", np.full(200, 1e-4))])
+        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+                     "--vol-window", "20", "--rates", str(rates)]) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: rates date 1000 at position 0 "
+                                           "does not match the price date 0\n")
+        assert not (tmp_path / "prices.wealth.csv").exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--rate", "0.5", "--rates", "r.csv"], ""),
+        ([], "rate = 0.5\nrates = r.csv\n"),
+        (["--rate", "0.5"], "rates = r.csv\n"),
+        (["--rates", "r.csv"], "rate = 0.5\n"),
+    ], ids=["flags", "config", "rate-flag", "rates-flag"])
+    def test_rate_and_rates_together_are_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     flags, config):
+        monkeypatch.chdir(tmp_path)
+        f = self.make_prices(tmp_path, n=200)
+        write_csv(tmp_path / "r.csv", np.arange(200), [("value", np.full(200, 1e-4))])
+        (tmp_path / "b.cfg").write_text(config)
+        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+                     "--vol-window", "20", "--config", "b.cfg", *flags]) == EXIT_USAGE
+        assert "give --rate or --rates, not both" in capsys.readouterr().err
+        assert not (tmp_path / "prices.wealth.csv").exists()
 
 
 def test_missing_input_file_is_usage_or_data_error(tmp_path):

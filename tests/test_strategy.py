@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from trendkit import strategy
 from trendkit.calibration import cv_filter, hp_lambda_for_window
 from trendkit.errors import DataError, InsufficientHistoryError
 from trendkit.filters import hp_filter
 from trendkit.series import Series
 from trendkit.strategy import (
     StrategyConfig,
+    _first_day,
     _make_mu_estimator,
     moving_average_trend,
     optimal_allocation,
@@ -279,6 +281,53 @@ class TestRunBacktest:
         with pytest.raises(DataError):
             run_backtest(prices, Series.from_values(np.zeros(10)), small_cfg("ma"))
 
+    def test_rates_series_must_share_the_price_dates(self):
+        prices = exponential_prices(200)
+        rates = Series(np.arange(1000, 1200), np.full(200, 1e-4))
+        with pytest.raises(DataError, match="^rates date 1000 at position 0 does not "
+                                            "match the price date 0$"):
+            run_backtest(prices, rates, small_cfg("ma"))
+        shifted = Series(np.r_[np.arange(150), np.arange(151, 201)], np.full(200, 1e-4))
+        with pytest.raises(DataError, match="at position 150 "):
+            run_backtest(prices, shifted, small_cfg("ma"))
+        rates = Series.from_values(np.full(200, 1e-4))  # the times of a plain price array
+        aligned = run_backtest(exponential_prices(200).values, rates, small_cfg("ma"))
+        assert aligned.start_index == 30
+
+    @pytest.mark.parametrize("model", ["ma", "hp"])
+    def test_linear_models_read_no_cv_windows(self, model, monkeypatch):
+        def no_cv_config(**kw):
+            raise AssertionError(f"CVConfig built for {model!r}")
+
+        monkeypatch.setattr(strategy, "CVConfig", no_cv_config)
+        cfg = small_cfg(model, T1=10, T2=15)  # windows only the L1 models read
+        report = run_backtest(exponential_prices(100), 0.0, cfg)
+        assert report.start_index == 30 - (model == "hp")
+        assert report.failures == []
+
+    @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
+    @pytest.mark.parametrize("T1, T2", [(10, 15), (15, 15)])
+    def test_l1_models_reject_bad_local_windows(self, model, T1, T2):
+        with pytest.raises(ValueError, match=f"^need T1 > T2 >= 1, got T1={T1}, T2={T2}$"):
+            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T1=T1, T2=T2))
+
+    @pytest.mark.parametrize("model, need", [("ma", 22), ("hp", 21)])
+    def test_short_linear_model_history_names_the_model(self, model, need):
+        cfg = small_cfg(model, ma_window=20, hp_window=20, vol_window=5)
+        message = f"^model {model!r} needs at least {need} samples, got 15$"
+        with pytest.raises(InsufficientHistoryError, match=message):
+            run_backtest(exponential_prices(15), 0.0, cfg)
+
+    def test_history_is_checked_before_the_model_is_built(self, monkeypatch):
+        def no_fit(*args, **kw):
+            raise AssertionError("model built before the history check")
+
+        for name in ("hp_filter", "moving_average_trend", "cv_filter"):
+            monkeypatch.setattr(strategy, name, no_fit)
+        for model in ("ma", "hp", "l1-local", "l1-global", "l1-two-trend"):
+            with pytest.raises(InsufficientHistoryError):
+                run_backtest(exponential_prices(30), 0.0, small_cfg(model))
+
     @pytest.mark.parametrize("g, day, jump, extra, alpha", RUINS, ids=RUIN_IDS)
     def test_ruin_is_data_error(self, g, day, jump, extra, alpha):
         values = 100.0 * np.exp(g * np.arange(400))
@@ -302,7 +351,7 @@ class TestHpDrift:
         rng = np.random.default_rng(window)
         log_p = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal(window + 150))
         cfg = StrategyConfig(trend_model="hp", hp_window=window, hp_lambda=lam)
-        estimate, first = _make_mu_estimator(cfg, log_p)
+        estimate, first = _make_mu_estimator(cfg, log_p), _first_day(cfg)
         assert first == window - 1
         for t in range(first, len(log_p)):
             trend = hp_filter(log_p[t - window + 1:t + 1], lam, order=2).trend
