@@ -154,6 +154,7 @@ def _cli_inputs() -> dict:
         "walk1000.csv": _csv(value=1000 * walk),
         "index.csv": _csv(value=1200 + np.cumsum(12 * index_rng.standard_normal(1008))),
         "reference.csv": _csv(value=model1),
+        "reference-huge.csv": _csv(value=1e152 * model1),  # its weight grid overflows
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
                           c=0.2 * np.cumsum(rng.standard_normal(120)) - 3),
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
@@ -249,6 +250,7 @@ def _cli_cases():
                                 "--report", "cv.json", "--errors-out", "cv.csv"]
     yield "calibrate-short", ["calibrate", "walk.csv"]
     yield "calibrate-bad-windows", ["calibrate", "walk.csv", "--t1", "10", "--t2", "15"]
+    yield "calibrate-overflow", ["calibrate", "reference-huge.csv"]
 
     for model in (1, 2, 3, 4):
         yield f"simulate-model{model}", ["simulate", "--model", str(model), "--n", "300",
@@ -265,14 +267,14 @@ def _cli_cases():
                              "rates.csv", *trade]
     yield "backtest-options", ["backtest", "prices.csv", "--model", "hp", "--rate", "1e-4",
                                "--risk-aversion", "2", "--alpha-min", "0", "--alpha-max",
-                               "0.5", "--hp-lambda", "500", "--ma-window", "40", *trade]
+                               "0.5", "--hp-lambda", "500", *trade]
     yield "backtest-short", ["backtest", "short.csv"]
     yield "backtest-ma-short", ["backtest", "short.csv", "--model", "ma"]
     yield "backtest-rates-other-dates", ["backtest", "prices.csv", "--model", "ma", "--rates",
                                          "rates-late.csv", *trade]
     yield "backtest-rate-and-rates", ["backtest", "prices.csv", "--model", "ma", "--rate",
                                       "0.5", "--rates", "rates.csv", *trade]
-    ma = ["--model", "ma", "--ma-window", "20", "--vol-window", "20"]
+    ma = ["--model", "ma", "--t3", "20", "--vol-window", "20"]
     yield "backtest-ma-local-windows-unread", ["backtest", "prices.csv", *ma, "--t1", "10",
                                                "--t2", "15"]
     yield "backtest-ruin", ["backtest", "ruin.csv", *ma]
@@ -280,6 +282,13 @@ def _cli_cases():
     yield "backtest-ruin-levered", ["backtest", "crash.csv", *ma, "--alpha-max", "4"]
     yield "backtest-bad-alpha", ["backtest", "prices.csv", "--alpha-min", "1",
                                  "--alpha-max", "0"]
+    yield "backtest-alpha-nan", ["backtest", "prices.csv", *ma, "--alpha-min", "nan"]
+    yield "backtest-risk-aversion-0", ["backtest", "prices.csv", *ma, "--risk-aversion", "0"]
+    # the last --t3 wins over the one in trade
+    yield "backtest-l1-local-t3-1", ["backtest", "prices.csv", "--model", "l1-local", *trade,
+                                     "--t3", "1"]
+    yield "backtest-hp-window-2", ["backtest", "prices.csv", "--model", "hp", *trade,
+                                   "--t3", "2"]
     yield "backtest-bad-model", ["backtest", "prices.csv", "--model", "oracle"]
 
     yield "config-filter", [*walk, "--config", "filter.cfg"]

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .banded import band_solve, diff_operator, gram_banded
-from .errors import InsufficientHistoryError
+from .errors import InsufficientHistoryError, NumericalError
 from .filters import FilterResult, l1_filter
 from .series import as_values
 
@@ -234,6 +234,7 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     pool of forked workers, one per CPU the process may use, in about
     CHUNKS_PER_WORKER contiguous chunks each, when they repay the round
     trips. The report, and the first failure, are the one-process loop's.
+    Ceilings too large for a finite grid are a NumericalError.
     """
     values = as_values(y)
     n = len(values)
@@ -247,11 +248,14 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     for i in range(cfg.m):
         start = n - (cfg.m - i) * cfg.T2
         ceilings.append(lambda_max(values[start:start + cfg.T2], cfg.order))
-    lam_mean = float(np.mean(ceilings))
-    lam_std = float(np.std(ceilings, ddof=1)) if cfg.m > 1 else 0.0
-    lo, hi = _grid_bounds(lam_mean, lam_std)
-    j = np.arange(1, cfg.n_grid + 1)
-    grid = lo * (hi / lo) ** (j / cfg.n_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge ceilings: checked below
+        lam_mean = float(np.mean(ceilings))
+        lam_std = float(np.std(ceilings, ddof=1)) if cfg.m > 1 else 0.0
+        lo, hi = _grid_bounds(lam_mean, lam_std)
+        j = np.arange(1, cfg.n_grid + 1)
+        grid = lo * (hi / lo) ** (j / cfg.n_grid)
+    if not np.all(np.isfinite(grid)):
+        raise NumericalError(f"weight grid overflows at ceilings up to {max(ceilings):.3g}")
 
     tasks = []
     for k in range(cfg.p):

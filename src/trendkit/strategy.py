@@ -9,7 +9,7 @@ wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
 path exactly. The history each model needs follows from its config and is
 checked before the model is built. The moving average and the quadratic
-filter are linear, so their drift paths are computed once per backtest.
+filter are linear in the last T3 log prices; each drift path is computed once.
 
 The L1 models fit daily, and only they read the cross-validation windows:
 a local horizon (training T1, test T2) and a global one (training 4 T3,
@@ -59,7 +59,8 @@ class StrategyConfig:
     initial budget; it only ever enters the allocation through that
     product. The windows follow the half-year convention: a 130-day
     test horizon (T2), a 520-day long horizon (T3 = 4 T2), and training
-    windows four times the test width.
+    windows four times the test width. ``ma`` and ``hp`` read the last T3
+    log prices; an ``hp_lambda`` of None is the spectral match at T3.
     """
 
     trend_model: str = "l1-global"
@@ -73,25 +74,25 @@ class StrategyConfig:
     cv_m: int = 3
     cv_p: int = 3
     n_grid: int = 15
-    ma_window: Optional[int] = None   # defaults to T3
-    hp_lambda: Optional[float] = None  # defaults to the spectral match at T3
-    hp_window: Optional[int] = None   # defaults to T3
+    hp_lambda: Optional[float] = None
 
     def __post_init__(self):
         if self.trend_model not in TREND_MODELS:
             raise ValueError(
                 f"trend_model must be one of {TREND_MODELS}, got {self.trend_model!r}"
             )
-        if self.alpha_min > self.alpha_max:
+        if not 0.0 < self.risk_aversion < np.inf:
+            raise ValueError(
+                f"risk_aversion must be positive and finite, got {self.risk_aversion}"
+            )
+        if not self.alpha_min <= self.alpha_max:  # NaN fails too
             raise ValueError("alpha_min must not exceed alpha_max")
         if self.vol_window < 2:
             raise ValueError(f"vol_window must be at least 2, got {self.vol_window}")
-        if self.ma_window is None:
-            object.__setattr__(self, "ma_window", self.T3)
-        if self.hp_window is None:
-            object.__setattr__(self, "hp_window", self.T3)
-        if self.hp_lambda is None:
-            object.__setattr__(self, "hp_lambda", hp_lambda_for_window(self.hp_window))
+
+    @property
+    def hp_window(self) -> int:  # the quadratic filter's window
+        return self.T3
 
     def cv_configs(self) -> tuple[CVConfig, CVConfig]:
         """Cross-validation geometries of the local horizon (training T1,
@@ -249,9 +250,9 @@ def _horizons(cfg: StrategyConfig) -> tuple:
 def _first_day(cfg: StrategyConfig) -> int:
     """First date the trend model can estimate, from the config alone."""
     if cfg.trend_model == "ma":
-        return cfg.ma_window
+        return cfg.T3
     if cfg.trend_model == "hp":
-        return cfg.hp_window - 1
+        return cfg.T3 - 1
     return max(cv.min_history for cv in _horizons(cfg)) - 1
 
 
@@ -259,16 +260,19 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
     """Returns estimate(t) -> mu for t >= ``_first_day(cfg)``; it sees only
     log prices up to and including t."""
     if cfg.trend_model == "ma":
-        return moving_average_trend(np.exp(log_p), cfg.ma_window).__getitem__
+        return moving_average_trend(np.exp(log_p), cfg.T3).__getitem__
 
     if cfg.trend_model == "hp":
         # The last slope of the fit A^{-1}y on a trailing window is c'A^{-1}y
         # = (A^{-1}c)'y for c = e_T - e_{T-1}, as A = I + 2 lam D'D is
         # symmetric: one filtered weight vector serves every window.
-        window = cfg.hp_window
+        window = cfg.T3
+        if window < 3:
+            raise ValueError(f"the hp window T3 must be at least 3, got {window}")
+        lam = hp_lambda_for_window(window) if cfg.hp_lambda is None else cfg.hp_lambda
         slope = np.concatenate([np.zeros(window - 2), [-1.0, 1.0]])
         try:
-            weights = hp_filter(slope, cfg.hp_lambda, order=2).trend
+            weights = hp_filter(slope, lam, order=2).trend
         except NumericalError as exc:
             error = exc  # raised on every decision day, as each day's fit would
 

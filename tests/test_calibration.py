@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from trendkit import calibration
 from trendkit.calibration import (
     CVConfig,
     cv_filter,
@@ -8,10 +11,10 @@ from trendkit.calibration import (
     hp_lambda_for_window,
     lambda_max,
 )
-from trendkit.errors import InsufficientHistoryError
+from trendkit.errors import InsufficientHistoryError, NumericalError
 from trendkit.filters import l1_filter
 from trendkit.strategy import StrategyConfig, predict_two_trend
-from trendkit.synth import default_params
+from trendkit.synth import default_params, simulate_model1
 
 from oracles import dense_lambda_max
 from scaling_law import fit_scaling_exponent
@@ -111,6 +114,18 @@ class TestCvFilter:
     def test_insufficient_history_rejected(self):
         with pytest.raises(InsufficientHistoryError):
             cv_filter(np.zeros(100), CVConfig(T1=100, T2=25, m=4, p=4))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overflowing_grid_is_numerical_error(self, seed, monkeypatch):
+        def no_solve(*args, **kw):
+            raise AssertionError("solved on an overflowing grid")
+
+        monkeypatch.setattr(calibration, "_forecast_errors", no_solve)
+        _, observed = simulate_model1(default_params(1, n=1008, seed=seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^weight grid overflows at ceilings "):
+                cv_filter(1e152 * observed, CVConfig())
 
     def test_min_history_is_the_larger_window_span(self):
         # training window plus p test windows, or m test windows

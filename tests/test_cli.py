@@ -1,11 +1,12 @@
 import argparse
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from trendkit import strategy
 from trendkit.calibration import CVConfig, lambda_max
 from trendkit.cli import (
     EXIT_DATA,
@@ -19,7 +20,8 @@ from trendkit.cli import (
     write_csv,
 )
 from trendkit.errors import DataError
-from trendkit.strategy import performance_stats
+from trendkit.strategy import StrategyConfig, performance_stats
+from trendkit.synth import default_params, simulate_model1
 
 
 def write_lines(path, lines):
@@ -397,7 +399,7 @@ class TestBacktestCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", "ma", "--vol-window", "20",
-                         "--ma-window", "20"]) == EXIT_OK
+                         "--t3", "20"]) == EXIT_OK
         assert "vol n/a" in capsys.readouterr().out
 
         def reject(name):
@@ -451,7 +453,7 @@ class TestBacktestCommand:
         write_csv(f, np.arange(400), [("value", values)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
                          "--vol-window", "20", *extra]) == EXIT_DATA
         assert f"data error: wealth ruined at {day}: allocation " in capsys.readouterr().err
         assert not (tmp_path / "p.wealth.csv").exists()
@@ -462,7 +464,7 @@ class TestBacktestCommand:
 
     def test_short_ma_history_names_the_backtest_need(self, tmp_path, capsys):
         f = self.make_prices(tmp_path, n=15)
-        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+        assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
                      "--vol-window", "5"]) == EXIT_DATA
         assert capsys.readouterr().err == \
             "data error: model 'ma' needs at least 22 samples, got 15\n"
@@ -475,9 +477,8 @@ class TestBacktestCommand:
         f = self.make_prices(tmp_path, n=60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["backtest", str(f), "--model", model, "--ma-window", "20",
-                         "--vol-window", "20", "--t3", "20", "--t1", "10",
-                         "--t2", "15"]) == code
+            assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
+                         "--t3", "20", "--t1", "10", "--t2", "15"]) == code
         if code == EXIT_USAGE:
             assert "need T1 > T2 >= 1, got T1=10, T2=15" in capsys.readouterr().err
 
@@ -485,7 +486,7 @@ class TestBacktestCommand:
         f = self.make_prices(tmp_path, n=200)
         rates = tmp_path / "r.csv"
         write_csv(rates, np.arange(1000, 1200), [("value", np.full(200, 1e-4))])
-        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+        assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
                      "--vol-window", "20", "--rates", str(rates)]) == EXIT_DATA
         assert capsys.readouterr().err == ("data error: rates date 1000 at position 0 "
                                            "does not match the price date 0\n")
@@ -503,10 +504,86 @@ class TestBacktestCommand:
         f = self.make_prices(tmp_path, n=200)
         write_csv(tmp_path / "r.csv", np.arange(200), [("value", np.full(200, 1e-4))])
         (tmp_path / "b.cfg").write_text(config)
-        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20",
+        assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
                      "--vol-window", "20", "--config", "b.cfg", *flags]) == EXIT_USAGE
         assert "give --rate or --rates, not both" in capsys.readouterr().err
         assert not (tmp_path / "prices.wealth.csv").exists()
+
+    @pytest.mark.parametrize("model", ["ma", "l1-local"])
+    def test_models_without_an_hp_weight_accept_t3_of_1(self, tmp_path, model):
+        f = self.make_prices(tmp_path, n=120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
+                         "--t1", "60", "--t2", "15", "--cv-m", "2", "--cv-p", "2",
+                         "--n-grid", "4", "--t3", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("t3", ["0", "1", "2"])
+    def test_short_hp_window_is_usage_error(self, tmp_path, capsys, monkeypatch, t3):
+        def no_fit(*args, **kw):
+            raise AssertionError("hp_filter called")
+
+        monkeypatch.setattr(strategy, "hp_filter", no_fit)
+        f = self.make_prices(tmp_path)
+        assert main(["backtest", str(f), "--model", "hp", "--vol-window", "20",
+                     "--t3", t3]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"usage error: the hp window T3 must be at least 3, got {t3}\n"
+
+    @pytest.mark.parametrize("model", ["ma", "hp", "l1-local"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--risk-aversion", "0"], "risk_aversion must be positive and finite, got 0.0"),
+        (["--risk-aversion", "-1"], "risk_aversion must be positive and finite, got -1.0"),
+        (["--risk-aversion", "inf"], "risk_aversion must be positive and finite, got inf"),
+        (["--risk-aversion", "nan"], "risk_aversion must be positive and finite, got nan"),
+        (["--alpha-min", "nan"], "alpha_min must not exceed alpha_max"),
+        (["--alpha-max", "nan"], "alpha_min must not exceed alpha_max"),
+    ], ids=["ra-0", "ra-neg", "ra-inf", "ra-nan", "min-nan", "max-nan"])
+    def test_unusable_allocation_rule_is_usage_error(self, tmp_path, capsys, model,
+                                                     flags, message):
+        f = tmp_path / "p.csv"
+        log_p = np.cumsum(0.01 * np.random.default_rng(4).standard_normal(300))
+        write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
+                         "--t1", "60", "--t2", "15", "--cv-m", "2", "--cv-p", "2",
+                         "--n-grid", "4", "--t3", "20", *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "p.wealth.csv").exists()
+
+    def test_ma_window_is_not_an_option(self, tmp_path, capsys):
+        f = self.make_prices(tmp_path)
+        (tmp_path / "m.cfg").write_text("ma_window = 20\n")
+        assert main(["backtest", str(f), "--model", "ma", "--ma-window", "20"]) == EXIT_USAGE
+        assert "unrecognized arguments: --ma-window 20" in capsys.readouterr().err
+        assert main(["backtest", str(f), "--model", "ma",
+                     "--config", str(tmp_path / "m.cfg")]) == EXIT_USAGE
+        assert "unrecognized arguments: --ma-window=20" in capsys.readouterr().err
+        assert not (tmp_path / "prices.wealth.csv").exists()
+
+    def test_config_echo_is_what_was_given(self, tmp_path):
+        f = self.make_prices(tmp_path)
+        assert main(["backtest", str(f), "--model", "hp", "--vol-window", "20",
+                     "--t3", "30"]) == EXIT_OK
+        report = json.loads((tmp_path / "prices.backtest-report.json").read_text())
+        assert report["config"] == {**asdict(StrategyConfig()), "trend_model": "hp",
+                                    "vol_window": 20, "T3": 30}
+        assert report["config"]["hp_lambda"] is None
+
+
+@pytest.mark.parametrize("command", [["calibrate"], ["filter", "--kind", "l1t", "--auto"]],
+                         ids=["calibrate", "filter-auto"])
+def test_overflowing_cv_grid_is_numerical_failure(tmp_path, capsys, command):
+    _, observed = simulate_model1(default_params(1, n=1008, seed=0))
+    f = tmp_path / "big.csv"
+    write_csv(f, np.arange(1008), [("value", 1e152 * observed)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], str(f), *command[1:]]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: weight grid overflows at ceilings up to ")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 def test_missing_input_file_is_usage_or_data_error(tmp_path):
@@ -621,6 +698,15 @@ def test_cv_config_fields_are_the_calibrate_geometry_flags():
     dests = {a.dest for a in commands.choices["calibrate"]._actions}
     io = {"help", "input", "column", "report", "errors_out", "config"}
     assert dests - io == {f.name for f in fields(CVConfig)}
+    assert io <= dests
+
+
+def test_strategy_config_fields_are_the_backtest_flags():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["backtest"]._actions}
+    io = {"help", "input", "rate", "rates", "column", "out", "report", "config"}
+    assert dests - io == {f.name for f in fields(StrategyConfig)}
     assert io <= dests
 
 

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestRunBacktest:
 
     @pytest.mark.parametrize("model, need", [("ma", 22), ("hp", 21)])
     def test_short_linear_model_history_names_the_model(self, model, need):
-        cfg = small_cfg(model, ma_window=20, hp_window=20, vol_window=5)
+        cfg = small_cfg(model, T3=20, vol_window=5)
         message = f"^model {model!r} needs at least {need} samples, got 15$"
         with pytest.raises(InsufficientHistoryError, match=message):
             run_backtest(exponential_prices(15), 0.0, cfg)
@@ -328,11 +329,19 @@ class TestRunBacktest:
             with pytest.raises(InsufficientHistoryError):
                 run_backtest(exponential_prices(30), 0.0, small_cfg(model))
 
+    @pytest.mark.parametrize("model", ["ma", "l1-local"])
+    def test_models_without_an_hp_weight_accept_t3_of_1(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_backtest(exponential_prices(120), 0.0, small_cfg(model, T3=1))
+        assert report.start_index == (20 if model == "ma" else 89)
+        assert report.failures == []
+
     @pytest.mark.parametrize("g, day, jump, extra, alpha", RUINS, ids=RUIN_IDS)
     def test_ruin_is_data_error(self, g, day, jump, extra, alpha):
         values = 100.0 * np.exp(g * np.arange(400))
         values[day:] *= jump
-        cfg = StrategyConfig(trend_model="ma", ma_window=20, vol_window=20, **extra)
+        cfg = StrategyConfig(trend_model="ma", T3=20, vol_window=20, **extra)
         message = (f"wealth ruined at {day}: allocation {alpha:g} "
                    f"through price ratio {values[day] / values[day - 1]:.6g}")
         with warnings.catch_warnings():
@@ -350,7 +359,7 @@ class TestHpDrift:
         lam = hp_lambda_for_window(window) if lam == "matched" else lam
         rng = np.random.default_rng(window)
         log_p = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal(window + 150))
-        cfg = StrategyConfig(trend_model="hp", hp_window=window, hp_lambda=lam)
+        cfg = StrategyConfig(trend_model="hp", T3=window, hp_lambda=lam)
         estimate, first = _make_mu_estimator(cfg, log_p), _first_day(cfg)
         assert first == window - 1
         for t in range(first, len(log_p)):
@@ -360,6 +369,15 @@ class TestHpDrift:
                 assert estimate(t) == slope
             else:
                 assert abs(estimate(t) - slope) <= 1e-12
+
+    @pytest.mark.parametrize("T3", [0, 1, 2])
+    def test_window_under_three_is_rejected_before_any_fit(self, T3, monkeypatch):
+        def no_fit(*args, **kw):
+            raise AssertionError("hp_filter called")
+
+        monkeypatch.setattr(strategy, "hp_filter", no_fit)
+        with pytest.raises(ValueError, match=f"^the hp window T3 must be at least 3, got {T3}$"):
+            run_backtest(exponential_prices(300), 0.0, small_cfg("hp", T3=T3))
 
     def test_failed_weight_solve_fails_every_day(self):
         rng = np.random.default_rng(2)
@@ -403,5 +421,37 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(vol_window=1)
     cfg = StrategyConfig()
-    assert cfg.ma_window == cfg.T3
-    assert cfg.hp_lambda > 0
+    assert cfg.hp_window == cfg.T3
+    assert cfg.hp_lambda is None
+
+
+def test_config_keeps_what_it_is_given():
+    assert [f.name for f in fields(StrategyConfig)] == [
+        "trend_model", "risk_aversion", "alpha_min", "alpha_max", "vol_window",
+        "T1", "T2", "T3", "cv_m", "cv_p", "n_grid", "hp_lambda"]
+    given = dict(trend_model="hp", T3=40, vol_window=20)
+    cfg = StrategyConfig(**given)
+    assert asdict(cfg) == {f.name: given.get(f.name, f.default) for f in fields(cfg)}
+    assert cfg.hp_lambda is None
+    assert cfg.hp_window == 40
+    for name in ("ma_window", "hp_window"):
+        with pytest.raises(TypeError, match=name):
+            StrategyConfig(**{name: 20})
+
+
+@pytest.mark.parametrize("risk_aversion", [0.0, -1.0, np.inf, np.nan])
+def test_risk_aversion_must_be_positive_and_finite(risk_aversion):
+    with pytest.raises(ValueError, match=f"^risk_aversion must be positive and finite, "
+                                         f"got {re.escape(str(risk_aversion))}$"):
+        StrategyConfig(risk_aversion=risk_aversion)
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(alpha_min=np.nan), dict(alpha_max=np.nan), dict(alpha_min=np.nan, alpha_max=np.nan),
+], ids=["min", "max", "both"])
+def test_nan_allocation_bound_is_rejected(bounds):
+    with pytest.raises(ValueError, match="^alpha_min must not exceed alpha_max$"):
+        StrategyConfig(**bounds)
+    # an infinite bound leaves its side open
+    cfg = StrategyConfig(alpha_min=-np.inf, alpha_max=np.inf)
+    assert optimal_allocation(-3.0, 1.0, cfg) == -3.0
