@@ -148,6 +148,7 @@ def _cli_inputs() -> dict:
     drift = 0.01 * rng.standard_normal(400) + 0.0005
     _, model1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=0))
     index_rng = np.random.default_rng(0)  # index levels: about 1200, moves about 12
+    prices = 100 * np.exp(np.cumsum(drift))
     fall, rise = 100 * np.exp(-0.002 * np.arange(400)), 100 * np.exp(0.002 * np.arange(400))
     return {
         "walk.csv": _csv(value=walk),
@@ -160,7 +161,8 @@ def _cli_inputs() -> dict:
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
         "years.csv": _csv(**{"2020": walk[:30], "2021": np.arange(30.0)}),
         "bad.csv": "date,value\n0,1.0\n1,oops\n",
-        "prices.csv": _csv(value=100 * np.exp(np.cumsum(drift))),
+        "prices.csv": _csv(value=prices),
+        "prices60.csv": _csv(value=prices[:60]),
         "rates.csv": _csv(value=np.full(400, 1e-4)),
         "rates-late.csv": "date,value\n" + "".join(f"{t},0.0001\n" for t in range(1000, 1400)),
         "short.csv": _csv(value=np.full(40, 75.0)),
@@ -170,6 +172,8 @@ def _cli_inputs() -> dict:
         "ruin.csv": _csv(value=fall * np.where(np.arange(400) >= 395, 3.0, 1.0)),
         "ruin-last.csv": _csv(value=fall * np.where(np.arange(400) >= 399, 3.0, 1.0)),
         "crash.csv": _csv(value=rise * np.where(np.arange(400) >= 395, 0.3, 1.0)),
+        # a rising market with one return to trade, a twentyfold move
+        "jump.csv": _csv(value=rise[:22] * np.where(np.arange(22) == 21, 20.0, 1.0)),
         "filter.cfg": "# step trend\nkind = l1c\nlam = 0.0\n",
         "auto.cfg": "auto = TRUE\nstandardize = false\nt1 = 60\nt2 = 15\nm = 3\n"
                     "p = 3\nn_grid = 4\n",
@@ -250,6 +254,7 @@ def _cli_cases():
                                 "--report", "cv.json", "--errors-out", "cv.csv"]
     yield "calibrate-short", ["calibrate", "walk.csv"]
     yield "calibrate-bad-windows", ["calibrate", "walk.csv", "--t1", "10", "--t2", "15"]
+    yield "calibrate-t2-2", ["calibrate", "walk.csv", "--t1", "10", "--t2", "2"]
     yield "calibrate-overflow", ["calibrate", "reference-huge.csv"]
 
     for model in (1, 2, 3, 4):
@@ -289,6 +294,11 @@ def _cli_cases():
                                      "--t3", "1"]
     yield "backtest-hp-window-2", ["backtest", "prices.csv", "--model", "hp", *trade,
                                    "--t3", "2"]
+    yield "backtest-l1-global-t3-2", ["backtest", "prices.csv", "--model", "l1-global",
+                                      *trade, "--t3", "2"]
+    yield "backtest-rate-nan", ["backtest", "prices.csv", *ma, "--rate", "nan"]
+    yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
+    yield "backtest-one-return-x20", ["backtest", "jump.csv", *ma]
     yield "backtest-bad-model", ["backtest", "prices.csv", "--model", "oracle"]
 
     yield "config-filter", [*walk, "--config", "filter.cfg"]

@@ -234,8 +234,13 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     pool of forked workers, one per CPU the process may use, in about
     CHUNKS_PER_WORKER contiguous chunks each, when they repay the round
     trips. The report, and the first failure, are the one-process loop's.
-    Ceilings too large for a finite grid are a NumericalError.
+    Ceilings too large for a finite grid are a NumericalError, and a test
+    window no longer than the order, which has no differences to bound the
+    grid, a ValueError.
     """
+    if cfg.T2 <= cfg.order:
+        raise ValueError(f"test window T2={cfg.T2} must be longer than the "
+                         f"filter order {cfg.order}")
     values = as_values(y)
     n = len(values)
     if n < cfg.min_history:

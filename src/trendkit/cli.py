@@ -203,22 +203,21 @@ def _resolve_lambda(values, order, args):
 def cmd_filter(args) -> int:
     kind = args["kind"]
     input_path = args["input"]
-    options = {key: args[key] for key in ("tol", "max_iter") if key in args}
 
     if kind == "l1t-multi":
         times, columns = read_table(input_path)
         names = sorted(columns)
         rows = [columns[name] for name in names]
         order = 2
-        if args.get("standardize"):
-            options["standardize"] = True
+        standardize = args.get("standardize", False)
+        if standardize:
             for name in names:
                 if columns[name].std() == 0:
                     raise DataError(f"column {name!r} is constant; cannot standardize")
         # a zero weight returns the (standardized) cross-sectional mean unsolved
-        mean = filters.l1t_multivariate(rows, 0.0, **options).observed
+        mean = filters.l1t_multivariate(rows, 0.0, standardize=standardize).observed
         lam, selection = _resolve_lambda(mean, order, args)
-        result = filters.l1t_multivariate(rows, lam, **options)
+        result = filters.l1t_multivariate(rows, lam, standardize=standardize)
         observed = result.observed
     else:
         order = {"l1t": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
@@ -229,7 +228,7 @@ def cmd_filter(args) -> int:
             if "lambda1" not in args or "lambda2" not in args:
                 raise UsageError("l1tc needs both --lambda1 and --lambda2")
             lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
-            result = filters.l1tc_filter(observed, *lam, **options)
+            result = filters.l1tc_filter(observed, *lam)
         else:
             if kind == "hp" and args.get("auto"):
                 raise UsageError("--auto cross-validates the L1 filters; "
@@ -238,7 +237,7 @@ def cmd_filter(args) -> int:
             if kind == "hp":
                 result = filters.hp_filter(observed, lam, order=order)
             else:
-                result = filters.l1_filter(observed, lam, order=order, **options)
+                result = filters.l1_filter(observed, lam, order=order)
 
     diag = result.diagnostics
     document = {
@@ -366,8 +365,6 @@ def build_parser() -> _Parser:
                    help="difference order for --kind hp")
     f.add_argument("--column")
     f.add_argument("--standardize", action="store_true")
-    f.add_argument("--tol", type=float)
-    f.add_argument("--max-iter", type=int)
     _flags(f, int, "T1", "T2", "m", "p", "n_grid")
     f.add_argument("--out")
     f.add_argument("--report")

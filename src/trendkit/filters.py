@@ -32,6 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import ipm
 from .banded import band_solve, diff_operator, gram_banded, hp_banded, interleave
 from .errors import ConvergenceError, NumericalError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
@@ -90,7 +91,7 @@ def _check_weight(name: str, lam) -> float:
     return float(lam) or 0.0
 
 
-def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
+def _l1_fit(values: np.ndarray, weights: dict):
     """Minimize 1/2 ||y - x||^2 + sum_k lam_k ||D_k x||_1, where ``weights``
     maps each difference order k to its checked weight lam_k.
 
@@ -98,33 +99,31 @@ def _l1_fit(values: np.ndarray, weights: dict, tol: float, max_iter: int):
     the certificate, which is None when no weight is active and the fit is
     y itself. Order 1 alone is solved exactly by :func:`tv_denoise`; any
     other set of active orders is one box QP for :func:`solve_box_qp`. A
-    certificate that misses ``tol`` raises :class:`ConvergenceError` here.
+    certificate that misses ``ipm.TOL`` raises :class:`ConvergenceError` here.
     """
     ops = {order: diff_operator(order, len(values)) for order in weights}
     duals = {order: np.zeros(op.rows) for order, op in ops.items()}
     active = {order: lam for order, lam in weights.items() if lam}
     if not active:
         return values.copy(), duals, None
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     # D y of the data: the QP's linear term, and on every path the overflow check
     rows = [ops[order].apply(values) for order in active]
     direct = list(active) == [1]
     if direct:
         trend, duals[1], gap, residual = tv_denoise(values, active[1])
-        solution = IpmSolution(duals[1], 0, gap, residual, gap <= tol)
+        solution = IpmSolution(duals[1], 0, gap, residual, gap <= ipm.TOL)
     else:
         upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]
         problem = BoxQP(gram_banded(*(ops[order] for order in active)),
                         interleave(*rows), interleave(*upper))
-        solution = solve_box_qp(problem, tol=tol, max_iter=max_iter)
+        solution = solve_box_qp(problem)
         trend = values
         for k, order in enumerate(active):
             duals[order] = solution.nu_star[k::len(active)]
             trend = trend - ops[order].apply_transpose(duals[order])
     if not solution.converged:
         raise ConvergenceError(
-            f"direct order-1 solve left duality gap {solution.duality_gap:.3e} above {tol:g}"
+            f"direct order-1 solve left duality gap {solution.duality_gap:.3e} above {ipm.TOL:g}"
             if direct else
             f"interior-point solver stopped after {solution.iterations} iterations "
             f"with duality gap {solution.duality_gap:.3e}",
@@ -156,34 +155,22 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     return FilterResult(trend, None, lam, None, values)
 
 
-def l1_filter(
-    y,
-    lam: float,
-    order: int = 2,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> FilterResult:
+def l1_filter(y, lam: float, order: int = 2) -> FilterResult:
     """L1 trend filter: minimize 1/2 ||y - x||^2 + lam * ||D x||_1.
 
     Order 2 is solved through the dual box QP min 1/2 v'DD'v - (Dy)'v
     over |v| <= lam, with the trend recovered as x = y - D'v. Order 1 is
     solved exactly by :func:`trendkit.tv.tv_denoise`, which reports no
-    iterations and ignores ``max_iter``; ``tol`` bounds the duality gap
-    of its certificate in both cases.
+    iterations; ``ipm.TOL`` bounds the duality gap of its certificate in
+    both cases.
     """
     values = as_values(y)
     lam = _check_weight("lam", lam)
-    trend, duals, solution = _l1_fit(values, {order: lam}, tol, max_iter)
+    trend, duals, solution = _l1_fit(values, {order: lam})
     return FilterResult(trend, duals[order], lam, solution, values)
 
 
-def l1tc_filter(
-    y,
-    lam1: float,
-    lam2: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> FilterResult:
+def l1tc_filter(y, lam1: float, lam2: float) -> FilterResult:
     """Mixed filter: 1/2 ||y - x||^2 + lam1 ||D1 x||_1 + lam2 ||D2 x||_1.
 
     The dual stacks both difference operators; the box bound is lam1 on
@@ -192,17 +179,11 @@ def l1tc_filter(
     """
     values = as_values(y)
     lams = (_check_weight("lam1", lam1), _check_weight("lam2", lam2))
-    trend, duals, solution = _l1_fit(values, {1: lams[0], 2: lams[1]}, tol, max_iter)
+    trend, duals, solution = _l1_fit(values, {1: lams[0], 2: lams[1]})
     return FilterResult(trend, np.concatenate([duals[1], duals[2]]), lams, solution, values)
 
 
-def l1t_multivariate(
-    ys,
-    lam: float,
-    standardize: bool = False,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> FilterResult:
+def l1t_multivariate(ys, lam: float, standardize: bool = False) -> FilterResult:
     """Common piecewise-linear trend of m series of equal length.
 
     The stacked problem reduces exactly to the univariate filter applied
@@ -232,7 +213,7 @@ def l1t_multivariate(
 
     mean_series = as_values(data.mean(axis=0))
     lam = _check_weight("lam", lam)
-    trend, duals, solution = _l1_fit(mean_series, {2: lam}, tol, max_iter)
+    trend, duals, solution = _l1_fit(mean_series, {2: lam})
     return FilterResult(trend, duals[2], lam, solution, mean_series, standardization)
 
 

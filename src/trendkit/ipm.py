@@ -34,6 +34,8 @@ BACKTRACK_SLOPE = 0.01  # sufficient-decrease parameter
 BACKTRACK_STEP = 0.5    # step shrink factor
 BOUNDARY_FRACTION = 0.99
 MIN_STEP = 1e-13
+TOL = 1e-8              # stop once the surrogate gap and the dual residual reach it
+MAX_ITER = 200          # iteration cap: the iterate is returned flagged unconverged
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,9 @@ def newton_step(problem: BoxQP, state: IpmState, res: np.ndarray):
     return d_nu, d_mu_hi, d_mu_lo
 
 
-def solve_box_qp(problem: BoxQP, tol: float = 1e-8, max_iter: int = 200) -> IpmSolution:
-    """Minimize the box QP to surrogate-gap and KKT tolerance ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def solve_box_qp(problem: BoxQP) -> IpmSolution:
+    """Minimize the box QP until its gap and dual residual reach ``TOL``."""
+    tol, max_iter = TOL, MAX_ITER  # read per call, so a test can patch them
     # Once a slack rounds to zero the Newton system is non-finite, and once
     # the gap overflows the barrier is undefined: either way the loop raises
     # ConvergenceError, and numpy's warnings would only repeat that.

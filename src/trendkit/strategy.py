@@ -20,6 +20,7 @@ training window is filtered at that weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -299,7 +300,8 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     variance over the trailing window, allocate, then realize the next
     price move. Dates where the trend estimation fails keep the
     previous allocation; dates with floored variance are flagged. A price
-    move that takes wealth to zero or below is a :class:`DataError`.
+    move that takes wealth to zero or below is a :class:`DataError`, and a
+    scalar rate that is not finite a ValueError.
     """
     if not isinstance(prices, Series):
         prices = Series.from_values(as_values(prices), name="price")
@@ -320,8 +322,10 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
         rate_at = rates.values
         mean_rate = float(np.mean(rates.values))
     else:
-        rate_at = np.full(n, float(rates))
         mean_rate = float(rates)
+        if not math.isfinite(mean_rate):
+            raise ValueError(f"rate must be finite, got {mean_rate}")
+        rate_at = np.full(n, mean_rate)
 
     t0 = max(_first_day(cfg), cfg.vol_window)
     if t0 >= n - 1:
@@ -373,6 +377,19 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     )
 
 
+def _annualized(name: str, growth, periods) -> float:
+    """growth ** periods - 1; a figure that overflows (or is NaN) is a
+    NumericalError naming it, not an inf in the report."""
+    try:
+        with np.errstate(over="ignore"):
+            figure = growth ** periods - 1.0
+    except OverflowError:  # Python floats raise where numpy's return inf
+        figure = math.inf
+    if not math.isfinite(figure):
+        raise NumericalError(f"annualized {name} is not finite")
+    return figure
+
+
 def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceStats:
     """Annualized return/volatility, Sharpe, information ratio, max drawdown.
 
@@ -380,7 +397,8 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
     per-period log returns against the benchmark's and is 0 by
     convention when the excess-return series is identically zero. A
     single return has no sample spread, so volatility and the
-    information ratio are then None and the Sharpe ratio is 0.
+    information ratio are then None and the Sharpe ratio is 0. An
+    annualized return or risk-free rate that overflows is a NumericalError.
     """
     w = as_values(wealth)
     if len(w) < 2:
@@ -390,12 +408,12 @@ def performance_stats(wealth, benchmark=None, rate: float = 0.0) -> PerformanceS
 
     periods = len(w) - 1
     years = periods / TRADING_DAYS_PER_YEAR
-    ann_return = (w[-1] / w[0]) ** (1.0 / years) - 1.0
+    ann_return = _annualized("return", w[-1] / w[0], 1.0 / years)
     log_rets = np.diff(np.log(w))
     ann_vol = None
     if periods > 1:
         ann_vol = float(np.std(log_rets, ddof=1)) * np.sqrt(TRADING_DAYS_PER_YEAR)
-    ann_rf = (1.0 + rate) ** TRADING_DAYS_PER_YEAR - 1.0
+    ann_rf = _annualized("risk-free rate", 1.0 + rate, TRADING_DAYS_PER_YEAR)
     sharpe = (ann_return - ann_rf) / ann_vol if ann_vol else 0.0
 
     information_ratio = None

@@ -127,6 +127,21 @@ class TestCvFilter:
             with pytest.raises(NumericalError, match="^weight grid overflows at ceilings "):
                 cv_filter(1e152 * observed, CVConfig())
 
+    @pytest.mark.parametrize("T2, order", [(1, 1), (1, 2), (2, 2)])
+    def test_test_window_no_longer_than_order_rejected(self, T2, order, monkeypatch):
+        def no_ceiling(*args, **kw):
+            raise AssertionError("lambda_max called")
+
+        y = np.cumsum(np.random.default_rng(0).standard_normal(300))
+        cfg = CVConfig(T1=10, T2=T2, order=order)
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "lambda_max", no_ceiling)
+            with pytest.raises(ValueError, match=f"^test window T2={T2} must be longer "
+                                                 f"than the filter order {order}$"):
+                cv_filter(y, cfg)
+        # two test samples have one first difference
+        assert len(cv_filter(y, CVConfig(T1=10, T2=2, order=1)).grid) == 15
+
     def test_min_history_is_the_larger_window_span(self):
         # training window plus p test windows, or m test windows
         assert CVConfig(T1=400, T2=50, m=12, p=12).min_history == 1000

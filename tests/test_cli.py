@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from trendkit import strategy
+from trendkit import ipm, strategy
 from trendkit.calibration import CVConfig, lambda_max
 from trendkit.cli import (
     EXIT_DATA,
@@ -162,13 +162,26 @@ class TestFilterCommand:
         assert report["selection"] == "cross-validation"
         assert report["lambda"] > 0
 
-    def test_convergence_failure_exits_3(self, tmp_path):
+    def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         f = self.make_input(tmp_path)
+        monkeypatch.setattr(ipm, "MAX_ITER", 1)
         code = main([
             "filter", str(f), "--kind", "l1t", "--lambda-max-fraction", "0.2",
-            "--max-iter", "1",
         ])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--tol", "1e-6"], "tol = 1e-6\n"),
+        (["--max-iter", "5"], "max_iter = 5\n"),
+    ], ids=["tol", "max-iter"])
+    def test_solver_knobs_are_not_options(self, tmp_path, capsys, flags, config):
+        f = self.make_input(tmp_path)
+        (tmp_path / "s.cfg").write_text(config)
+        for extra in (flags, ["--config", str(tmp_path / "s.cfg")]):
+            assert main(["filter", str(f), "--lambda-max-fraction", "0.05",
+                         *extra]) == EXIT_USAGE
+            assert "usage error: unrecognized arguments: --" in capsys.readouterr().err
+        assert not (tmp_path / "in.trend.csv").exists()
 
     def test_index_level_series_is_numerical_failure(self, tmp_path, capsys):
         # 1,008 samples at index levels (about 1200, daily moves about 12): at
@@ -327,6 +340,20 @@ class TestCalibrateCommand:
         assert lines[0] == "lambda,error"
         assert len(lines) == 6
 
+    def test_test_window_no_longer_than_order_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "walk.csv"
+        log_p = np.cumsum(0.01 * np.random.default_rng(5).standard_normal(300))
+        write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
+        for command, t2, order in [("calibrate", 2, 2), ("calibrate", 1, 1), ("filter", 2, 2)]:
+            flags = ["--t1", "10", "--t2", str(t2)]
+            flags += ["--auto"] if command == "filter" else ["--order", str(order)]
+            assert main([command, str(f), *flags]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"usage error: test window T2={t2} must be longer than "
+                f"the filter order {order}\n")
+        assert list(tmp_path.iterdir()) == [f]
+        assert main(["calibrate", str(f), "--t1", "10", "--t2", "2", "--order", "1"]) == EXIT_OK
+
     def test_insufficient_history_is_data_error(self, tmp_path):
         f = tmp_path / "short.csv"
         write_csv(f, np.arange(30), [("value", np.arange(30.0))])
@@ -481,6 +508,63 @@ class TestBacktestCommand:
                          "--t3", "20", "--t1", "10", "--t2", "15"]) == code
         if code == EXIT_USAGE:
             assert "need T1 > T2 >= 1, got T1=10, T2=15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, t2", [
+        (["--model", "l1-global", "--t3", "1"], 1),
+        (["--model", "l1-global", "--t3", "2"], 2),
+        (["--model", "l1-two-trend", "--t1", "40", "--t2", "10", "--t3", "2",
+          "--vol-window", "20"], 2),
+        (["--model", "l1-local", "--t1", "8", "--t2", "2", "--vol-window", "20"], 2),
+    ], ids=["global-t3-1", "global-t3-2", "two-trend-t3-2", "local-t2-2"])
+    def test_test_window_no_longer_than_order_is_usage_error(self, tmp_path, capsys,
+                                                              flags, t2):
+        f = tmp_path / "p.csv"
+        log_p = np.cumsum(0.01 * np.random.default_rng(5).standard_normal(300))
+        write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
+        assert main(["backtest", str(f), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"usage error: test window T2={t2} must be "
+                                           f"longer than the filter order 2\n")
+        assert not (tmp_path / "p.wealth.csv").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_nonfinite_rate_is_usage_error(self, tmp_path, capsys, monkeypatch, rate):
+        def no_model(*args, **kw):
+            raise AssertionError("trend model built")
+
+        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        f = self.make_prices(tmp_path, n=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
+                         "--vol-window", "20", f"--rate={rate}"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: rate must be finite, got {rate}\n"
+        assert not (tmp_path / "prices.wealth.csv").exists()
+
+    @pytest.mark.parametrize("n, g, jump, flags, figure", [
+        (60, 0.0, 1.0, ["--rate", "20"], "return"),
+        (60, 0.0, 1.0, ["--rates", "r.csv"], "return"),
+        (22, 0.002, 20.0, [], "return"),
+        (60, 0.0, 1.0, ["--rate", "20", "--alpha-min", "1"], "risk-free rate"),
+    ], ids=["rate-20", "rates-20", "one-return-x20", "rate-20-all-in"])
+    def test_overflowing_statistics_are_numerical_failure(self, tmp_path, capsys,
+                                                          monkeypatch, n, g, jump,
+                                                          flags, figure):
+        # flat prices hold no stock, so wealth compounds the rate, unless it
+        # is held all in; a rising market is held all in as its last price
+        # moves twentyfold
+        monkeypatch.chdir(tmp_path)
+        f = tmp_path / "p.csv"
+        values = 75.0 * np.exp(g * np.arange(n))
+        values[-1] *= jump
+        write_csv(f, np.arange(n), [("value", values)])
+        write_csv(tmp_path / "r.csv", np.arange(n), [("value", np.full(n, 20.0))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
+                         "--vol-window", "20", *flags]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == \
+            f"numerical failure: annualized {figure} is not finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "r.csv"]
 
     def test_rates_on_other_dates_are_data_error(self, tmp_path, capsys):
         f = self.make_prices(tmp_path, n=200)

@@ -425,6 +425,18 @@ def test_short_series_that_fit_still_fit():
         l1_filter(y, 1.0, order=3)
 
 
+@pytest.mark.parametrize("knob", [{"tol": 1e-6}, {"max_iter": 5}])
+@pytest.mark.parametrize("call", [
+    lambda y, knob: l1_filter(y, 1.0, order=2, **knob),
+    lambda y, knob: l1_filter(y, 1.0, order=1, **knob),
+    lambda y, knob: l1tc_filter(y, 1.0, 1.0, **knob),
+    lambda y, knob: l1t_multivariate([y, 2 * y], 1.0, **knob),
+], ids=["l1t", "l1c", "l1tc", "multi"])
+def test_solver_knobs_are_not_parameters(walk, call, knob):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call(walk, knob)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.randoms(use_true_random=False))
 def test_duality_certificate_property(rnd):

@@ -58,8 +58,6 @@ def test_validation_errors():
         BoxQP(Q, np.zeros(2), np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         BoxQP(Q, np.array([0.0, np.nan]), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_box_qp(BoxQP(Q, np.zeros(2), np.ones(2)), tol=0.0)
 
 
 def test_matches_bruteforce_oracle_on_banded_problems():
@@ -96,7 +94,7 @@ def test_kkt_certificate_at_convergence():
     rng = np.random.default_rng(17)
     for _ in range(8):
         problem = _random_problem(rng, 40)
-        sol = solve_box_qp(problem, tol=1e-8)
+        sol = solve_box_qp(problem)
         assert sol.converged
         assert sol.duality_gap <= 1e-8
         assert sol.kkt_residual <= 1e-8
@@ -175,10 +173,11 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * (1 + np.max(np.abs(rhs)))
 
 
-def test_max_iterations_returns_flagged_iterate():
+def test_max_iterations_returns_flagged_iterate(monkeypatch):
     rng = np.random.default_rng(2)
     problem = _random_problem(rng, 30)
-    sol = solve_box_qp(problem, max_iter=2)
+    monkeypatch.setattr(ipm, "MAX_ITER", 2)
+    sol = solve_box_qp(problem)
     assert not sol.converged
     assert sol.iterations <= 2
     assert np.all(np.abs(sol.nu_star) < problem.upper)
@@ -274,3 +273,20 @@ def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     finally:
         gc.enable()
     assert retries
+
+
+@pytest.mark.parametrize("knob", [{"tol": 1e-6}, {"max_iter": 5}])
+def test_solver_knobs_are_not_parameters(knob):
+    problem = _identity_problem([0.5, -2.0], [1.0, 1.0])
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        solve_box_qp(problem, **knob)
+
+
+def test_stop_reads_the_module_tolerance(monkeypatch):
+    problem = _random_problem(np.random.default_rng(17), 40)
+    tight = solve_box_qp(problem)
+    monkeypatch.setattr(ipm, "TOL", 1e-4)
+    loose = solve_box_qp(problem)
+    assert loose.converged and loose.duality_gap <= 1e-4
+    assert loose.iterations < tight.iterations
+    np.testing.assert_array_equal(loose.gap_history, tight.gap_history[:len(loose.gap_history)])

@@ -32,3 +32,13 @@ def test_spectral_match_script():
     assert lines[0].split() == ["T", "fitted", "lambda", "closed", "form", "ratio"]
     assert lines[1].split()[0] == "20"
     assert len(lines) == 2
+
+
+def test_synthetic_demo_script():
+    lines = run_script("synthetic_demo.py", "--n", "600", "--t1", "200", "--t2", "50",
+                       "--folds", "3")
+    assert lines[0].startswith("selected weight: ")
+    assert lines[1].startswith("recovery RMSE: ")
+    assert lines[1].endswith("(noise sigma 15.0)")
+    assert lines[2].startswith("breaks: fitted ")
+    assert len(lines) == 3

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from trendkit import strategy
 from trendkit.calibration import cv_filter, hp_lambda_for_window
-from trendkit.errors import DataError, InsufficientHistoryError
+from trendkit.errors import DataError, InsufficientHistoryError, NumericalError
 from trendkit.filters import hp_filter
 from trendkit.series import Series
 from trendkit.strategy import (
@@ -172,6 +172,17 @@ class TestPerformanceStats:
         with pytest.raises(ValueError):
             performance_stats(np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("wealth, rate, figure", [
+        ([1.0, 20.0], 0.0, "return"),
+        ([1.0, 1.01, 1.02], 20.0, "risk-free rate"),
+        ([1.0, 1.01, 1.02], np.nan, "risk-free rate"),
+    ])
+    def test_overflowing_annualization_is_numerical_error(self, wealth, rate, figure):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^annualized {figure} is not finite$"):
+                performance_stats(np.array(wealth), rate=rate)
+
 
 def exponential_prices(n, g=0.001, start=100.0):
     return Series.from_values(start * np.exp(g * np.arange(n)), name="price")
@@ -276,6 +287,15 @@ class TestRunBacktest:
             cv_filter(log_p[:cv.min_history], cv)
             with pytest.raises(InsufficientHistoryError):
                 cv_filter(log_p[:cv.min_history - 1], cv)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rate_rejected_before_the_model(self, rate, monkeypatch):
+        def no_model(*args, **kw):
+            raise AssertionError("trend model built")
+
+        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        with pytest.raises(ValueError, match="^rate must be finite, got "):
+            run_backtest(exponential_prices(300), rate, small_cfg("l1-global"))
 
     def test_rates_series_must_align(self):
         prices = exponential_prices(300)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from trendkit import synth
+from trendkit import ipm, synth
 from trendkit.banded import diff_operator, gram_banded
 from trendkit.calibration import lambda_max
 from trendkit.errors import ConvergenceError
@@ -104,14 +104,15 @@ def test_certificate_at_n_1e5(scale):
     _certify(y, l1_filter(y, lam, order=1), lam)
 
 
-def test_scale_equivariance_at_n_1e5():
+def test_scale_equivariance_at_n_1e5(monkeypatch):
     y = _walk(8, 100_000)
     lam = 0.1 * lambda_max(y, 1)
     base = l1_filter(y, lam, order=1)
     for c in (1e-6, 1e6):
         # the gap is quadratic in the scale; its rounding floor at c = 1e6
         # (about 1e-5 here) lies above the absolute default tolerance
-        scaled = l1_filter(c * y, c * lam, order=1, tol=1e-8 * max(1.0, c * c))
+        monkeypatch.setattr(ipm, "TOL", 1e-8 * max(1.0, c * c))
+        scaled = l1_filter(c * y, c * lam, order=1)
         bound = _distance_bound(scaled) + c * _distance_bound(base)
         rounding = 64 * EPS * c * np.sqrt(len(y)) * np.max(np.abs(y))
         assert np.linalg.norm(scaled.trend - c * base.trend) <= bound + rounding
@@ -195,16 +196,13 @@ def test_mixed_filter_without_second_weight_is_direct():
     np.testing.assert_array_equal(mixed.dual[:len(y) - 1], direct.dual)
 
 
-def test_tolerance_bounds_the_reported_gap():
+def test_tolerance_bounds_the_reported_gap(monkeypatch):
     y = _walk(5, 400, scale=1000.0)
     lam = 0.1 * lambda_max(y, 1)
     x, nu, gap, residual = tv_denoise(y, lam)
     assert 0.0 < gap <= 1e-8
     assert residual <= 16 * EPS * (np.max(np.abs(y)) + 4 * lam)
+    monkeypatch.setattr(ipm, "TOL", gap / 2)
     with pytest.raises(ConvergenceError, match="duality gap") as info:
-        l1_filter(y, lam, order=1, tol=gap / 2)
+        l1_filter(y, lam, order=1)
     assert info.value.diagnostics.duality_gap == gap
-    with pytest.raises(ValueError, match="tol must be positive"):
-        l1_filter(y, lam, order=1, tol=0.0)
-    # no iterations: max_iter does not apply
-    assert l1_filter(y, lam, order=1, max_iter=0).diagnostics.converged
