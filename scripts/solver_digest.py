@@ -21,8 +21,8 @@ one line per command: the exit code, the names and a SHA-256 of the files
 it wrote together with its standard output and error, its standard error
 text, and how many Python warnings it raised. The commands cover every
 filter kind and weight selection, calibrate, the four simulated models,
-every backtest trend model, backtests that ruin the strategy, config files,
-and each usage (1), data (2) and numerical (3) exit.
+every backtest trend model, backtests that ruin the strategy or overflow its
+wealth, config files, and each usage (1), data (2) and numerical (3) exit.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -116,9 +116,7 @@ def _zero_weight_cases():
 
 def _cv_cases():
     reference = CVConfig()
-    strat = StrategyConfig()  # the l1-global backtest's geometry: training 4 T3, test T3
-    l1_global = CVConfig(T1=4 * strat.T3, T2=strat.T3, m=strat.cv_m, p=strat.cv_p,
-                         n_grid=strat.n_grid)
+    l1_global = StrategyConfig().cv_configs()[1]  # the l1-global backtest's geometry
     for seed in CV_SEEDS:
         _, observed = synth.simulate_model1(synth.default_params(1, n=1008, seed=seed))
         walk = synth.simulate_model2(synth.default_params(
@@ -161,11 +159,13 @@ def _cli_inputs() -> dict:
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
         "years.csv": _csv(**{"2020": walk[:30], "2021": np.arange(30.0)}),
         "bad.csv": "date,value\n0,1.0\n1,oops\n",
+        "nan.csv": "date,value\n0,1.0\n1,2.0\n2,nan\n3,4.0\n4,5.0\n",
         "prices.csv": _csv(value=prices),
         "prices60.csv": _csv(value=prices[:60]),
         "rates.csv": _csv(value=np.full(400, 1e-4)),
         "rates-late.csv": "date,value\n" + "".join(f"{t},0.0001\n" for t in range(1000, 1400)),
         "short.csv": _csv(value=np.full(40, 75.0)),
+        "flat400.csv": _csv(value=np.full(400, 75.0)),
         "week.csv": "date,value\n2020-W01-3,1.0\n2020-W01-4,2.0\n2020-W01-5,3.0\n",
         # a falling market that triples five days from the end, the last day,
         # and a rising one that loses 70% five days from the end
@@ -238,6 +238,7 @@ def _cli_cases():
     # data errors
     yield "filter-missing-file", ["filter", "nope.csv", "--lambda", "1"]
     yield "filter-bad-csv", ["filter", "bad.csv", "--lambda", "1"]
+    yield "filter-nan-cell", ["filter", "nan.csv", "--lambda", "1"]
     yield "filter-two-columns", ["filter", "years.csv", "--lambda", "1"]
     yield "filter-multi-std-constant", ["filter", "flat.csv", "--kind", "l1t-multi",
                                         "--standardize", "--lambda", "1"]
@@ -272,7 +273,9 @@ def _cli_cases():
                              "rates.csv", *trade]
     yield "backtest-options", ["backtest", "prices.csv", "--model", "hp", "--rate", "1e-4",
                                "--risk-aversion", "2", "--alpha-min", "0", "--alpha-max",
-                               "0.5", "--hp-lambda", "500", *trade]
+                               "0.5", *trade]
+    yield "backtest-hp-lambda", ["backtest", "prices.csv", "--model", "hp", "--hp-lambda",
+                                 "500", *trade]
     yield "backtest-short", ["backtest", "short.csv"]
     yield "backtest-ma-short", ["backtest", "short.csv", "--model", "ma"]
     yield "backtest-rates-other-dates", ["backtest", "prices.csv", "--model", "ma", "--rates",
@@ -298,6 +301,7 @@ def _cli_cases():
                                       *trade, "--t3", "2"]
     yield "backtest-rate-nan", ["backtest", "prices.csv", *ma, "--rate", "nan"]
     yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
+    yield "backtest-wealth-overflow", ["backtest", "flat400.csv", *ma, "--rate", "20"]
     yield "backtest-one-return-x20", ["backtest", "jump.csv", *ma]
     yield "backtest-bad-model", ["backtest", "prices.csv", "--model", "oracle"]
 

@@ -18,6 +18,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -94,11 +95,12 @@ def read_table(path):
             if not cell:
                 raise DataError(f"{path}: line {line_no}: missing value for {name!r}")
             try:
-                columns[name].append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: line {line_no}: cannot parse {cell!r} as a number"
-                )
+                raise DataError(f"{path}: line {line_no}: cannot parse {cell!r} as a number")
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {line_no}: non-finite value {cell!r} for {name!r}")
+            columns[name].append(value)
     for i, (line_no, _) in enumerate(lines[1:], start=1):  # YYYY-MM-DD sorts as dates do
         if type(times[i]) is not type(times[0]):
             raise DataError(f"{path}: line {line_no}: mixed integer and date stamps")
@@ -124,7 +126,7 @@ def ingest_csv(path, column=None) -> Series:
             )
     if column not in columns:
         raise DataError(f"{path}: no column named {column!r}; have {sorted(columns)}")
-    return Series(times=times, values=columns[column], name=column)
+    return Series(times=times, values=columns[column])
 
 
 def write_csv(path, times, named_columns):
@@ -391,7 +393,6 @@ def build_parser() -> _Parser:
     b.add_argument("--column")
     _flags(b, float, "risk_aversion", "alpha_min", "alpha_max")
     _flags(b, int, "vol_window", "T1", "T2", "T3", "cv_m", "cv_p", "n_grid")
-    _flags(b, float, "hp_lambda")
     b.add_argument("--out")
     b.add_argument("--report")
 

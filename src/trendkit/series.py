@@ -8,7 +8,7 @@ float observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class Series:
 
     times: np.ndarray
     values: np.ndarray
-    name: str = field(default="value", compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times)
@@ -48,10 +47,10 @@ class Series:
         return len(self.values)
 
     @classmethod
-    def from_values(cls, values, name: str = "value") -> "Series":
+    def from_values(cls, values) -> "Series":
         """Wrap a plain vector with 0..n-1 integer time stamps."""
         values = np.asarray(values, dtype=float)
-        return cls(times=np.arange(len(values)), values=values, name=name)
+        return cls(times=np.arange(len(values)), values=values)
 
 
 def as_values(y) -> np.ndarray:

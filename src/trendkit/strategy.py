@@ -9,7 +9,8 @@ wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
 path exactly. The history each model needs follows from its config and is
 checked before the model is built. The moving average and the quadratic
-filter are linear in the last T3 log prices; each drift path is computed once.
+filter, at the weight spectrally matched to T3, are linear in the last T3 log
+prices; each drift path is computed once.
 
 The L1 models fit daily, and only they read the cross-validation windows:
 a local horizon (training T1, test T2) and a global one (training 4 T3,
@@ -61,7 +62,7 @@ class StrategyConfig:
     product. The windows follow the half-year convention: a 130-day
     test horizon (T2), a 520-day long horizon (T3 = 4 T2), and training
     windows four times the test width. ``ma`` and ``hp`` read the last T3
-    log prices; an ``hp_lambda`` of None is the spectral match at T3.
+    log prices; ``hp`` filters them at the weight spectrally matched to T3.
     """
 
     trend_model: str = "l1-global"
@@ -75,7 +76,6 @@ class StrategyConfig:
     cv_m: int = 3
     cv_p: int = 3
     n_grid: int = 15
-    hp_lambda: Optional[float] = None
 
     def __post_init__(self):
         if self.trend_model not in TREND_MODELS:
@@ -118,7 +118,6 @@ class BacktestReport:
     allocations: Series
     stats: PerformanceStats
     start_index: int
-    config: StrategyConfig
     failures: list = field(default_factory=list)
     floored_variance_dates: list = field(default_factory=list)
 
@@ -270,10 +269,9 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         window = cfg.T3
         if window < 3:
             raise ValueError(f"the hp window T3 must be at least 3, got {window}")
-        lam = hp_lambda_for_window(window) if cfg.hp_lambda is None else cfg.hp_lambda
         slope = np.concatenate([np.zeros(window - 2), [-1.0, 1.0]])
         try:
-            weights = hp_filter(slope, lam, order=2).trend
+            weights = hp_filter(slope, hp_lambda_for_window(window), order=2).trend
         except NumericalError as exc:
             error = exc  # raised on every decision day, as each day's fit would
 
@@ -300,11 +298,12 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     variance over the trailing window, allocate, then realize the next
     price move. Dates where the trend estimation fails keep the
     previous allocation; dates with floored variance are flagged. A price
-    move that takes wealth to zero or below is a :class:`DataError`, and a
-    scalar rate that is not finite a ValueError.
+    move that takes wealth to zero or below is a :class:`DataError`, a
+    wealth that overflows a :class:`NumericalError`, and a scalar rate that
+    is not finite a ValueError.
     """
     if not isinstance(prices, Series):
-        prices = Series.from_values(as_values(prices), name="price")
+        prices = Series.from_values(as_values(prices))
     values = prices.values
     n = len(values)
     log_p = _log_prices(values)
@@ -319,13 +318,13 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
             bad = int(differs[0])
             raise DataError(f"rates date {rates.times[bad]} at position {bad} does not "
                             f"match the price date {prices.times[bad]}")
-        rate_at = rates.values
+        rate_at = rates.values.tolist()
         mean_rate = float(np.mean(rates.values))
     else:
         mean_rate = float(rates)
         if not math.isfinite(mean_rate):
             raise ValueError(f"rate must be finite, got {mean_rate}")
-        rate_at = np.full(n, mean_rate)
+        rate_at = [mean_rate] * n
 
     t0 = max(_first_day(cfg), cfg.vol_window)
     if t0 >= n - 1:
@@ -335,8 +334,10 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     estimate_mu = _make_mu_estimator(cfg, log_p)
 
     variance = realized_vol(values, cfg.vol_window)
+    # wealth compounds in Python floats, which overflow to inf without a warning
+    ratios = (values[1:] / values[:-1]).tolist()
     wealth = np.empty(n)
-    wealth[t0] = 1.0
+    W = wealth[t0] = 1.0
     alphas = np.empty(n)
     prev_alpha = 0.0
     failures = []
@@ -356,22 +357,21 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
         alphas[t] = alpha
         prev_alpha = alpha
         if t < n - 1:
-            ratio = values[t + 1] / values[t]
-            wealth[t + 1] = step_wealth(wealth[t], alpha, ratio, rate_at[t])
-            if wealth[t + 1] <= 0:
-                raise DataError(f"wealth ruined at {prices.times[t + 1]}: allocation "
-                                f"{alpha:.6g} through price ratio {ratio:.6g}")
+            W = wealth[t + 1] = step_wealth(W, alpha, ratios[t], rate_at[t])
+            if not 0.0 < W < math.inf:
+                if W <= 0:
+                    raise DataError(f"wealth ruined at {prices.times[t + 1]}: allocation "
+                                    f"{alpha:.6g} through price ratio {ratios[t]:.6g}")
+                raise NumericalError(f"wealth is not finite at {prices.times[t + 1]}")
 
-    wealth_series = Series(prices.times[t0:], wealth[t0:], name="wealth")
-    alloc_series = Series(prices.times[t0:], alphas[t0:], name="alpha")
-    benchmark = Series(prices.times[t0:], values[t0:], name="benchmark")
-    stats = performance_stats(wealth_series, benchmark=benchmark, rate=mean_rate)
+    wealth_series = Series(prices.times[t0:], wealth[t0:])
+    alloc_series = Series(prices.times[t0:], alphas[t0:])
+    stats = performance_stats(wealth_series, benchmark=values[t0:], rate=mean_rate)
     return BacktestReport(
         wealth=wealth_series,
         allocations=alloc_series,
         stats=stats,
         start_index=t0,
-        config=cfg,
         failures=failures,
         floored_variance_dates=floored,
     )
@@ -380,11 +380,8 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
 def _annualized(name: str, growth, periods) -> float:
     """growth ** periods - 1; a figure that overflows (or is NaN) is a
     NumericalError naming it, not an inf in the report."""
-    try:
-        with np.errstate(over="ignore"):
-            figure = growth ** periods - 1.0
-    except OverflowError:  # Python floats raise where numpy's return inf
-        figure = math.inf
+    with np.errstate(over="ignore"):
+        figure = np.float64(growth) ** periods - 1.0
     if not math.isfinite(figure):
         raise NumericalError(f"annualized {name} is not finite")
     return figure

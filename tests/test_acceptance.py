@@ -302,7 +302,7 @@ def test_criterion_09_backtest_integrity():
         ("uptrend", 100.0 * np.exp(0.001 * np.arange(400))),
         ("constant", np.full(400, 60.0)),
     ):
-        prices = Series.from_values(values, name="price")
+        prices = Series.from_values(values)
         report = run_backtest(prices, 0.0, cfg)
         w = report.wealth.values
         a = report.allocations.values
@@ -315,7 +315,7 @@ def test_criterion_09_backtest_integrity():
             issues.append(f"{label}: allocation out of bounds")
         cut = len(values) - 50
         truncated = run_backtest(
-            Series.from_values(values[:cut], name="price"), 0.0, cfg
+            Series.from_values(values[:cut]), 0.0, cfg
         )
         k = len(truncated.allocations)
         if not np.array_equal(truncated.allocations.values, a[:k]):

@@ -230,7 +230,8 @@ class TestFilterCommand:
         f = tmp_path / "in.csv"
         write_lines(f, ["date,value", "0,1.0", f"1,{bad}", "2,3.0", "3,2.0"])
         assert main(["filter", str(f), "--kind", kind, "--lambda", "1"]) == EXIT_DATA
-        assert "non-finite value at position 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"data error: {f}: line 3: non-finite value {bad!r} for 'value'\n"
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         f = self.make_input(tmp_path)
@@ -653,7 +654,52 @@ class TestBacktestCommand:
         report = json.loads((tmp_path / "prices.backtest-report.json").read_text())
         assert report["config"] == {**asdict(StrategyConfig()), "trend_model": "hp",
                                     "vol_window": 20, "T3": 30}
-        assert report["config"]["hp_lambda"] is None
+
+    def test_hp_weight_is_not_an_option(self, tmp_path, capsys):
+        f = self.make_prices(tmp_path)
+        (tmp_path / "h.cfg").write_text("hp_lambda = 500\n")
+        assert main(["backtest", str(f), "--model", "hp", "--hp-lambda", "500"]) == EXIT_USAGE
+        assert "unrecognized arguments: --hp-lambda 500" in capsys.readouterr().err
+        assert main(["backtest", str(f), "--model", "hp",
+                     "--config", str(tmp_path / "h.cfg")]) == EXIT_USAGE
+        assert "unrecognized arguments: --hp-lambda=500" in capsys.readouterr().err
+        assert not (tmp_path / "prices.wealth.csv").exists()
+
+    def test_wealth_overflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # flat prices hold no stock, so wealth grows 21-fold a day at rate 20
+        monkeypatch.chdir(tmp_path)
+        f = self.make_prices(tmp_path, n=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
+                         "--vol-window", "20", "--rate", "20"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: wealth is not finite at 254\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["prices.csv"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("command, target", [
+    (["filter", "{f}", "--lambda", "1"], "value"),
+    (["calibrate", "{f}"], "value"),
+    (["backtest", "{p}", "--model", "ma", "--rates", "{f}"], "value"),
+    (["filter", "{f}", "--kind", "l1t-multi", "--lambda", "1"], "value"),
+    (["filter", "{m}", "--kind", "l1t-multi", "--lambda", "1"], "b"),
+], ids=["filter", "calibrate", "backtest-rates", "l1t-multi", "l1t-multi-second-column"])
+def test_nonfinite_cell_is_data_error_at_its_line(tmp_path, capsys, monkeypatch, command,
+                                                  target, bad):
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "f.csv", ["date,value", "0,1.0", "1,2.0", f"2,{bad}", "3,4.0",
+                                     "4,5.0"])
+    write_lines(tmp_path / "m.csv", ["date,a,b", "0,1.0,1.0", "1,2.0,2.0", f"2,3.0,{bad}"])
+    write_csv(tmp_path / "p.csv", np.arange(5), [("value", np.full(5, 75.0))])
+    argv = [arg.format(f="f.csv", m="m.csv", p="p.csv") for arg in command]
+    source = "m.csv" if "m.csv" in argv else "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"data error: {source}: line 4: non-finite value {bad!r} for {target!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "m.csv", "p.csv"]
 
 
 @pytest.mark.parametrize("command", [["calibrate"], ["filter", "--kind", "l1t", "--auto"]],

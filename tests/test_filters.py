@@ -300,6 +300,13 @@ class TestSeries:
         np.testing.assert_array_equal(s.values, [0.0, 1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(s.times, [0, 1, 2, 3, 4])
 
+    def test_is_times_and_values_only(self):
+        assert list(vars(Series.from_values([1.0, 2.0]))) == ["times", "values"]
+        with pytest.raises(TypeError, match="name"):
+            Series(np.arange(2), np.ones(2), name="x")
+        with pytest.raises(TypeError, match="name"):
+            Series.from_values(np.ones(2), name="x")
+
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("call, name", [

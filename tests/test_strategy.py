@@ -185,7 +185,7 @@ class TestPerformanceStats:
 
 
 def exponential_prices(n, g=0.001, start=100.0):
-    return Series.from_values(start * np.exp(g * np.arange(n)), name="price")
+    return Series.from_values(start * np.exp(g * np.arange(n)))
 
 
 # A steady 400-day trend with one jump at ``day`` that ruins the ma rule:
@@ -205,10 +205,10 @@ class TestRunBacktest:
         for model in ("ma", "hp", "l1-local", "l1-global", "l1-two-trend"):
             report = run_backtest(prices, 0.0, small_cfg(model))
             assert report.wealth.values[-1] > report.wealth.values[0]
-            assert report.allocations.values[-1] == report.config.alpha_max
+            assert report.allocations.values[-1] == small_cfg(model).alpha_max
 
     def test_constant_prices_compound_at_riskfree(self):
-        prices = Series.from_values(np.full(300, 50.0), name="price")
+        prices = Series.from_values(np.full(300, 50.0))
         r = 0.0003
         report = run_backtest(prices, r, small_cfg("ma"))
         n_steps = len(report.wealth) - 1
@@ -219,7 +219,7 @@ class TestRunBacktest:
     def test_wealth_recursion_identity(self):
         rng = np.random.default_rng(3)
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(350)))
-        prices = Series.from_values(values, name="price")
+        prices = Series.from_values(values)
         r = 0.0001
         report = run_backtest(prices, r, small_cfg("ma"))
         w = report.wealth.values
@@ -233,7 +233,7 @@ class TestRunBacktest:
         rng = np.random.default_rng(9)
         values = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(400)))
         cfg = small_cfg("l1-local", alpha_min=-0.5, alpha_max=0.7)
-        report = run_backtest(Series.from_values(values, name="p"), 0.0, cfg)
+        report = run_backtest(Series.from_values(values), 0.0, cfg)
         assert np.all(report.allocations.values >= -0.5)
         assert np.all(report.allocations.values <= 0.7)
 
@@ -241,10 +241,10 @@ class TestRunBacktest:
         rng = np.random.default_rng(5)
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(320)))
         cfg = small_cfg("l1-local")
-        full = run_backtest(Series.from_values(values, name="p"), 0.0, cfg)
+        full = run_backtest(Series.from_values(values), 0.0, cfg)
         cut = 280
         truncated = run_backtest(
-            Series.from_values(values[:cut], name="p"), 0.0, cfg
+            Series.from_values(values[:cut]), 0.0, cfg
         )
         k = len(truncated.allocations)
         np.testing.assert_array_equal(
@@ -254,13 +254,30 @@ class TestRunBacktest:
     def test_two_trend_model_runs(self):
         rng = np.random.default_rng(13)
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(400)))
-        report = run_backtest(Series.from_values(values, name="p"), 0.0,
+        report = run_backtest(Series.from_values(values), 0.0,
                               small_cfg("l1-two-trend"))
         assert np.all(np.isfinite(report.wealth.values))
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
             run_backtest(exponential_prices(50), 0.0, small_cfg("l1-global"))
+
+    def test_report_does_not_echo_the_config(self):
+        report = run_backtest(exponential_prices(100), 0.0, small_cfg("ma"))
+        assert "config" not in {f.name for f in fields(report)}
+
+    def test_wealth_overflow_is_numerical_error(self):
+        # flat prices hold no stock, so wealth grows 21-fold a day at rate 20
+        # and overflows on day 254, 234 steps after the first decision day
+        cfg = StrategyConfig(trend_model="ma", T3=20, vol_window=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^wealth is not finite at 254$"):
+                run_backtest(np.full(400, 75.0), 20.0, cfg)
+            times = np.arange(1000, 1400)  # the error names the date, per-period rates too
+            with pytest.raises(NumericalError, match="^wealth is not finite at 1254$"):
+                run_backtest(Series(times, np.full(400, 75.0)),
+                             Series(times, np.full(400, 20.0)), cfg)
 
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     def test_history_boundary(self, model):
@@ -375,11 +392,14 @@ class TestHpDrift:
 
     @pytest.mark.parametrize("window", [30, 520])
     @pytest.mark.parametrize("lam", [0.0, 1.0, "matched", 1e12])
-    def test_matches_last_slope_of_each_days_fit(self, window, lam):
-        lam = hp_lambda_for_window(window) if lam == "matched" else lam
+    def test_matches_last_slope_of_each_days_fit(self, window, lam, monkeypatch):
+        if lam == "matched":
+            lam = hp_lambda_for_window(window)
+        else:
+            monkeypatch.setattr(strategy, "hp_lambda_for_window", lambda T: lam)
         rng = np.random.default_rng(window)
         log_p = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal(window + 150))
-        cfg = StrategyConfig(trend_model="hp", T3=window, hp_lambda=lam)
+        cfg = StrategyConfig(trend_model="hp", T3=window)
         estimate, first = _make_mu_estimator(cfg, log_p), _first_day(cfg)
         assert first == window - 1
         for t in range(first, len(log_p)):
@@ -399,18 +419,20 @@ class TestHpDrift:
         with pytest.raises(ValueError, match=f"^the hp window T3 must be at least 3, got {T3}$"):
             run_backtest(exponential_prices(300), 0.0, small_cfg("hp", T3=T3))
 
-    def test_failed_weight_solve_fails_every_day(self):
+    def test_failed_weight_solve_fails_every_day(self, monkeypatch):
+        monkeypatch.setattr(strategy, "hp_lambda_for_window", lambda T: 1e20)
         rng = np.random.default_rng(2)
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(900)))
-        report = run_backtest(values, 0.0, StrategyConfig(trend_model="hp", hp_lambda=1e20))
+        report = run_backtest(values, 0.0, StrategyConfig(trend_model="hp"))
         assert report.start_index == 519
         assert report.failures == list(range(519, 900))
         assert np.all(report.allocations.values == 0.0)
 
-    def test_overflowing_weight_fails_every_day(self):
+    def test_overflowing_weight_fails_every_day(self, monkeypatch):
+        monkeypatch.setattr(strategy, "hp_lambda_for_window", lambda T: 1e308)
         rng = np.random.default_rng(2)
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(600)))
-        cfg = StrategyConfig(trend_model="hp", hp_lambda=1e308)
+        cfg = StrategyConfig(trend_model="hp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_backtest(values, 0.0, cfg)
@@ -421,16 +443,7 @@ class TestHpDrift:
         for n in (10, 30):  # shorter than the window, then one day short
             with pytest.raises(InsufficientHistoryError,
                                match=f"^model 'hp' needs at least 31 samples, got {n}$"):
-                run_backtest(exponential_prices(n), 0.0, small_cfg("hp", hp_lambda=-1.0))
-
-    @pytest.mark.parametrize("lam, message", [
-        (-1.0, "non-negative, got -1.0"),
-        (np.nan, "finite, got nan"),
-        (np.inf, "finite, got inf"),
-    ])
-    def test_bad_weight_is_rejected(self, lam, message):
-        with pytest.raises(ValueError, match=f"^lam must be {message}$"):
-            run_backtest(exponential_prices(100), 0.0, small_cfg("hp", hp_lambda=lam))
+                run_backtest(exponential_prices(n), 0.0, small_cfg("hp"))
 
 
 def test_config_validation():
@@ -442,19 +455,17 @@ def test_config_validation():
         StrategyConfig(vol_window=1)
     cfg = StrategyConfig()
     assert cfg.hp_window == cfg.T3
-    assert cfg.hp_lambda is None
 
 
 def test_config_keeps_what_it_is_given():
     assert [f.name for f in fields(StrategyConfig)] == [
         "trend_model", "risk_aversion", "alpha_min", "alpha_max", "vol_window",
-        "T1", "T2", "T3", "cv_m", "cv_p", "n_grid", "hp_lambda"]
+        "T1", "T2", "T3", "cv_m", "cv_p", "n_grid"]
     given = dict(trend_model="hp", T3=40, vol_window=20)
     cfg = StrategyConfig(**given)
     assert asdict(cfg) == {f.name: given.get(f.name, f.default) for f in fields(cfg)}
-    assert cfg.hp_lambda is None
     assert cfg.hp_window == 40
-    for name in ("ma_window", "hp_window"):
+    for name in ("ma_window", "hp_window", "hp_lambda"):
         with pytest.raises(TypeError, match=name):
             StrategyConfig(**{name: 20})
 
