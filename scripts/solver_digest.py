@@ -22,7 +22,8 @@ it wrote together with its standard output and error, its standard error
 text, and how many Python warnings it raised. The commands cover every
 filter kind and weight selection, calibrate, the four simulated models,
 every backtest trend model, backtests that ruin the strategy or overflow its
-wealth, config files, and each usage (1), data (2) and numerical (3) exit.
+wealth or whose rate is -1, config files, and each usage (1), data (2) and
+numerical (3) exit.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -164,6 +165,7 @@ def _cli_inputs() -> dict:
         "prices60.csv": _csv(value=prices[:60]),
         "rates.csv": _csv(value=np.full(400, 1e-4)),
         "rates-late.csv": "date,value\n" + "".join(f"{t},0.0001\n" for t in range(1000, 1400)),
+        "rates-minus-1.csv": _csv(value=np.where(np.arange(400) == 51, -1.0, 1e-4)),
         "short.csv": _csv(value=np.full(40, 75.0)),
         "flat400.csv": _csv(value=np.full(400, 75.0)),
         "week.csv": "date,value\n2020-W01-3,1.0\n2020-W01-4,2.0\n2020-W01-5,3.0\n",
@@ -186,14 +188,15 @@ def _cli_inputs() -> dict:
         "noequals.cfg": "kind l1t\n",
         "calibrate.cfg": "t1 = 60\nt2 = 15\nm = 3\np = 3\nn-grid = 4\norder = 1\n",
         "simulate.cfg": "model = 2\nn = 120\nseed = 3\nout = sim.csv\n",
-        "backtest.cfg": "model = hp\nvol_window = 20\nt1 = 60\nt2 = 15\nt3 = 30\n"
+        "backtest.cfg": "model = hp\nvol_window = 20\nt2 = 15\nt3 = 30\n"
                         "cv_m = 2\ncv_p = 2\nn_grid = 4\nrate = 0.0001\n",
+        "backtest-t1.cfg": "model = ma\nt1 = 60\n",
     }
 
 
 def _cli_cases():
     cv = ["--t1", "60", "--t2", "15", "--m", "3", "--p", "3", "--n-grid", "4"]
-    trade = ["--vol-window", "20", "--t1", "60", "--t2", "15", "--t3", "30",
+    trade = ["--vol-window", "20", "--t2", "15", "--t3", "30",
              "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]
     walk, panel = ["filter", "walk.csv"], ["filter", "panel.csv", "--kind", "l1t-multi"]
     yield "filter-default-kind", [*walk, "--lambda", "50"]
@@ -283,8 +286,8 @@ def _cli_cases():
     yield "backtest-rate-and-rates", ["backtest", "prices.csv", "--model", "ma", "--rate",
                                       "0.5", "--rates", "rates.csv", *trade]
     ma = ["--model", "ma", "--t3", "20", "--vol-window", "20"]
-    yield "backtest-ma-local-windows-unread", ["backtest", "prices.csv", *ma, "--t1", "10",
-                                               "--t2", "15"]
+    yield "backtest-ma-local-windows-unread", ["backtest", "prices.csv", *ma, "--t2", "0"]
+    yield "backtest-t1-flag", ["backtest", "prices.csv", *ma, "--t1", "60"]
     yield "backtest-ruin", ["backtest", "ruin.csv", *ma]
     yield "backtest-ruin-last-day", ["backtest", "ruin-last.csv", *ma]
     yield "backtest-ruin-levered", ["backtest", "crash.csv", *ma, "--alpha-max", "4"]
@@ -300,6 +303,9 @@ def _cli_cases():
     yield "backtest-l1-global-t3-2", ["backtest", "prices.csv", "--model", "l1-global",
                                       *trade, "--t3", "2"]
     yield "backtest-rate-nan", ["backtest", "prices.csv", *ma, "--rate", "nan"]
+    yield "backtest-rate-minus-1", ["backtest", "flat400.csv", *ma, "--rate", "-1"]
+    yield "backtest-rates-minus-1", ["backtest", "flat400.csv", *ma, "--rates",
+                                     "rates-minus-1.csv"]
     yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
     yield "backtest-wealth-overflow", ["backtest", "flat400.csv", *ma, "--rate", "20"]
     yield "backtest-one-return-x20", ["backtest", "jump.csv", *ma]
@@ -314,6 +320,7 @@ def _cli_cases():
     yield "config-calibrate", ["calibrate", "walk.csv", "--config", "calibrate.cfg"]
     yield "config-simulate", ["simulate", "--config", "simulate.cfg"]
     yield "config-backtest", ["backtest", "prices.csv", "--config", "backtest.cfg"]
+    yield "config-backtest-t1", ["backtest", "prices.csv", "--config", "backtest-t1.cfg"]
     yield "config-unknown-key", [*walk, "--config", "unknown.cfg"]
     yield "config-switch-no", [*walk, "--config", "no.cfg"]
     yield "config-bad-number", [*walk, "--config", "abc.cfg"]

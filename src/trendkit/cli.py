@@ -392,7 +392,7 @@ def build_parser() -> _Parser:
     b.add_argument("--rates", help="CSV of per-period risk-free rates")
     b.add_argument("--column")
     _flags(b, float, "risk_aversion", "alpha_min", "alpha_max")
-    _flags(b, int, "vol_window", "T1", "T2", "T3", "cv_m", "cv_p", "n_grid")
+    _flags(b, int, "vol_window", "T2", "T3", "cv_m", "cv_p", "n_grid")
     b.add_argument("--out")
     b.add_argument("--report")
 

@@ -13,9 +13,9 @@ filter, at the weight spectrally matched to T3, are linear in the last T3 log
 prices; each drift path is computed once.
 
 The L1 models fit daily, and only they read the cross-validation windows:
-a local horizon (training T1, test T2) and a global one (training 4 T3,
-test T3); ``l1-two-trend`` switches between the two. Each day a horizon's
-weight is cross-validated on the history to date and its trailing
+a local horizon (test T2) and a global one (test T3), each trained on four
+times its test width; ``l1-two-trend`` switches between the two. Each day a
+horizon's weight is cross-validated on the history to date and its trailing
 training window is filtered at that weight.
 """
 
@@ -60,9 +60,9 @@ class StrategyConfig:
     ``risk_aversion`` is the product of the utility curvature and the
     initial budget; it only ever enters the allocation through that
     product. The windows follow the half-year convention: a 130-day
-    test horizon (T2), a 520-day long horizon (T3 = 4 T2), and training
-    windows four times the test width. ``ma`` and ``hp`` read the last T3
-    log prices; ``hp`` filters them at the weight spectrally matched to T3.
+    test horizon (T2), a 520-day long horizon (T3 = 4 T2), and for each a
+    training window four times its test width. ``ma`` and ``hp`` read the last
+    T3 log prices; ``hp`` filters them at the weight spectrally matched to T3.
     """
 
     trend_model: str = "l1-global"
@@ -70,7 +70,6 @@ class StrategyConfig:
     alpha_min: float = -1.0
     alpha_max: float = 1.0
     vol_window: int = 130
-    T1: int = 520
     T2: int = 130
     T3: int = 520
     cv_m: int = 3
@@ -96,11 +95,10 @@ class StrategyConfig:
         return self.T3
 
     def cv_configs(self) -> tuple[CVConfig, CVConfig]:
-        """Cross-validation geometries of the local horizon (training T1,
-        test T2) and the global one (training 4 T3, test T3)."""
-        shared = dict(m=self.cv_m, p=self.cv_p, n_grid=self.n_grid, order=2)
-        return (CVConfig(T1=self.T1, T2=self.T2, **shared),
-                CVConfig(T1=4 * self.T3, T2=self.T3, **shared))
+        """Cross-validation geometries of the local horizon (test T2) and the
+        global one (test T3), each training on four times its test width."""
+        return tuple(CVConfig(T1=4 * w, T2=w, m=self.cv_m, p=self.cv_p,
+                              n_grid=self.n_grid, order=2) for w in (self.T2, self.T3))
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,9 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     price move. Dates where the trend estimation fails keep the
     previous allocation; dates with floored variance are flagged. A price
     move that takes wealth to zero or below is a :class:`DataError`, a
-    wealth that overflows a :class:`NumericalError`, and a scalar rate that
-    is not finite a ValueError.
+    wealth that overflows a :class:`NumericalError`. A scalar rate must be
+    finite and above -1 (else a ValueError), and a rates value -1 or less is
+    a :class:`DataError` naming its date: such a rate alone ruins cash.
     """
     if not isinstance(prices, Series):
         prices = Series.from_values(as_values(prices))
@@ -318,12 +317,17 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
             bad = int(differs[0])
             raise DataError(f"rates date {rates.times[bad]} at position {bad} does not "
                             f"match the price date {prices.times[bad]}")
+        ruinous = np.flatnonzero(rates.values <= -1.0)
+        if len(ruinous):
+            bad = int(ruinous[0])
+            raise DataError(f"rate {rates.values[bad]:.6g} at {rates.times[bad]} "
+                            f"is not above -1")
         rate_at = rates.values.tolist()
         mean_rate = float(np.mean(rates.values))
     else:
         mean_rate = float(rates)
-        if not math.isfinite(mean_rate):
-            raise ValueError(f"rate must be finite, got {mean_rate}")
+        if not -1.0 < mean_rate < math.inf:  # NaN fails too
+            raise ValueError(f"rate must be finite and above -1, got {mean_rate}")
         rate_at = [mean_rate] * n
 
     t0 = max(_first_day(cfg), cfg.vol_window)

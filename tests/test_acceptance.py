@@ -294,7 +294,7 @@ def test_criterion_09_backtest_integrity():
     start = time.time()
     cfg = StrategyConfig(
         trend_model="l1-local", vol_window=20,
-        T1=60, T2=15, T3=30, cv_m=2, cv_p=2, n_grid=4,
+        T2=15, T3=30, cv_m=2, cv_p=2, n_grid=4,
     )
     issues = []
 
@@ -345,7 +345,7 @@ def test_criterion_10_reference_configuration():
         "cv defaults n_grid=15": cv.n_grid == 15,
         "strategy T2=130": strat.T2 == 130,
         "strategy T3=520": strat.T3 == 520,
-        "strategy T1=520": strat.T1 == 520,
+        "strategy local T1=520": strat.cv_configs()[0].T1 == 520,
         "README documents calibrate command": "trendkit calibrate" in text,
         "README documents backtest command": "trendkit backtest" in text,
         "README states reference lambda 7.03": "7.03" in text,

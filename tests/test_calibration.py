@@ -149,7 +149,7 @@ class TestCvFilter:
 
 
 class TestPredictTwoTrend:
-    CFG = StrategyConfig(T1=80, T2=20, T3=40, cv_m=3, cv_p=3, n_grid=5)
+    CFG = StrategyConfig(T2=20, T3=40, cv_m=3, cv_p=3, n_grid=5)
     GEOMETRIES = CFG.cv_configs()
 
     def test_affine_input_both_branches_agree(self):
@@ -186,7 +186,7 @@ class TestPredictTwoTrend:
 
     def test_global_config_scales_training_window(self):
         local, g = self.GEOMETRIES
-        assert (local.T1, local.T2) == (self.CFG.T1, self.CFG.T2)
+        assert (local.T1, local.T2) == (4 * self.CFG.T2, self.CFG.T2)
         assert g.T2 == self.CFG.T3
         assert g.T1 == 4 * self.CFG.T3
         for cv in (local, g):

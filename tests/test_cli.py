@@ -411,7 +411,7 @@ class TestBacktestCommand:
         f = self.make_prices(tmp_path)
         assert main([
             "backtest", str(f), "--model", "ma", "--vol-window", "20",
-            "--t1", "60", "--t2", "15", "--t3", "30",
+            "--t2", "15", "--t3", "30",
             "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
         ]) == EXIT_OK
         _, cols = read_table(tmp_path / "prices.wealth.csv")
@@ -445,7 +445,7 @@ class TestBacktestCommand:
         write_csv(f, np.arange(400), [("value", values)])
         assert main([
             "backtest", str(f), "--model", "ma", "--vol-window", "20",
-            "--t1", "60", "--t2", "15", "--t3", "30",
+            "--t2", "15", "--t3", "30",
             "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
         ]) == EXIT_OK
         report = json.loads((tmp_path / "p.backtest-report.json").read_text())
@@ -463,7 +463,7 @@ class TestBacktestCommand:
         write_csv(f, np.arange(350), [("value", values)])
         assert main([
             "backtest", str(f), "--model", "hp", "--vol-window", "20",
-            "--t1", "60", "--t2", "15", "--t3", "30",
+            "--t2", "15", "--t3", "30",
             "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
         ]) == EXIT_OK
         report = json.loads((tmp_path / "up.backtest-report.json").read_text())
@@ -501,21 +501,28 @@ class TestBacktestCommand:
         ("ma", EXIT_OK), ("hp", EXIT_OK),
         ("l1-local", EXIT_USAGE), ("l1-global", EXIT_USAGE), ("l1-two-trend", EXIT_USAGE),
     ])
-    def test_only_l1_models_read_the_local_windows(self, tmp_path, capsys, model, code):
+    def test_only_l1_models_read_the_local_windows(self, tmp_path, capsys, monkeypatch,
+                                                   model, code):
+        def no_cv_config(**kw):
+            raise AssertionError(f"CVConfig built for {model!r}")
+
+        if code == EXIT_OK:
+            monkeypatch.setattr(strategy, "CVConfig", no_cv_config)
         f = self.make_prices(tmp_path, n=60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t3", "20", "--t1", "10", "--t2", "15"]) == code
+                         "--t3", "20", "--t2", "0"]) == code
         if code == EXIT_USAGE:
-            assert "need T1 > T2 >= 1, got T1=10, T2=15" in capsys.readouterr().err
+            assert capsys.readouterr().err == \
+                "usage error: need T1 > T2 >= 1, got T1=0, T2=0\n"
+            assert not (tmp_path / "prices.wealth.csv").exists()
 
     @pytest.mark.parametrize("flags, t2", [
         (["--model", "l1-global", "--t3", "1"], 1),
         (["--model", "l1-global", "--t3", "2"], 2),
-        (["--model", "l1-two-trend", "--t1", "40", "--t2", "10", "--t3", "2",
-          "--vol-window", "20"], 2),
-        (["--model", "l1-local", "--t1", "8", "--t2", "2", "--vol-window", "20"], 2),
+        (["--model", "l1-two-trend", "--t2", "10", "--t3", "2", "--vol-window", "20"], 2),
+        (["--model", "l1-local", "--t2", "2", "--vol-window", "20"], 2),
     ], ids=["global-t3-1", "global-t3-2", "two-trend-t3-2", "local-t2-2"])
     def test_test_window_no_longer_than_order_is_usage_error(self, tmp_path, capsys,
                                                               flags, t2):
@@ -538,8 +545,36 @@ class TestBacktestCommand:
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
                          "--vol-window", "20", f"--rate={rate}"]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"usage error: rate must be finite, got {rate}\n"
+        assert capsys.readouterr().err == \
+            f"usage error: rate must be finite and above -1, got {rate}\n"
         assert not (tmp_path / "prices.wealth.csv").exists()
+
+    @pytest.mark.parametrize("rate", ["-1", "-2"])
+    def test_rate_of_minus_one_or_less_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                      rate):
+        # a rate of -1 takes flat prices' cash position to zero on the first day
+        monkeypatch.chdir(tmp_path)
+        f = self.make_prices(tmp_path, n=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
+                         "--vol-window", "20", "--rate", rate]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"usage error: rate must be finite and above -1, got {float(rate)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["prices.csv"]
+
+    def test_rates_value_of_minus_one_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        f = self.make_prices(tmp_path, n=400)
+        rates = np.full(400, 1e-4)
+        rates[51] = -1.0
+        write_csv(tmp_path / "r.csv", np.arange(400), [("value", rates)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", "ma", "--t3", "20",
+                         "--vol-window", "20", "--rates", "r.csv"]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: rate -1 at 51 is not above -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "r.csv"]
 
     @pytest.mark.parametrize("n, g, jump, flags, figure", [
         (60, 0.0, 1.0, ["--rate", "20"], "return"),
@@ -600,7 +635,7 @@ class TestBacktestCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t1", "60", "--t2", "15", "--cv-m", "2", "--cv-p", "2",
+                         "--t2", "15", "--cv-m", "2", "--cv-p", "2",
                          "--n-grid", "4", "--t3", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize("t3", ["0", "1", "2"])
@@ -632,7 +667,7 @@ class TestBacktestCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t1", "60", "--t2", "15", "--cv-m", "2", "--cv-p", "2",
+                         "--t2", "15", "--cv-m", "2", "--cv-p", "2",
                          "--n-grid", "4", "--t3", "20", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "p.wealth.csv").exists()
@@ -646,6 +681,23 @@ class TestBacktestCommand:
                      "--config", str(tmp_path / "m.cfg")]) == EXIT_USAGE
         assert "unrecognized arguments: --ma-window=20" in capsys.readouterr().err
         assert not (tmp_path / "prices.wealth.csv").exists()
+
+    def test_local_training_window_is_not_an_option(self, tmp_path, capsys):
+        f = self.make_prices(tmp_path)
+        (tmp_path / "t.cfg").write_text("t1 = 60\n")
+        assert main(["backtest", str(f), "--model", "ma", "--t1", "60"]) == EXIT_USAGE
+        assert "unrecognized arguments: --t1 60" in capsys.readouterr().err
+        assert main(["backtest", str(f), "--model", "ma",
+                     "--config", str(tmp_path / "t.cfg")]) == EXIT_USAGE
+        assert "unrecognized arguments: --t1=60" in capsys.readouterr().err
+        assert not (tmp_path / "prices.wealth.csv").exists()
+        # calibrate keeps the training window it cross-validates with
+        log_p = np.cumsum(0.01 * np.random.default_rng(8).standard_normal(200))
+        write_csv(tmp_path / "w.csv", np.arange(200), [("value", log_p)])
+        assert main(["calibrate", str(tmp_path / "w.csv"), "--t1", "60", "--t2", "15",
+                     "--m", "3", "--p", "3", "--n-grid", "4"]) == EXIT_OK
+        report = json.loads((tmp_path / "w.cv-report.json").read_text())
+        assert (report["config"]["T1"], report["config"]["T2"]) == (60, 15)
 
     def test_config_echo_is_what_was_given(self, tmp_path):
         f = self.make_prices(tmp_path)

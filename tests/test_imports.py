@@ -16,11 +16,14 @@ functions its ``spans.REQUIRED`` lists and reads each backtest day's
 lambda* through ``strategy.cv_filter``. A rename there leaves a metric
 silently at zero, so the names are pinned here; and no module imports
 another module's private name, so each module's helpers stay its own.
+Its workloads read config fields, the strategy's history rule and the
+calibrate flags; a knob removed from ``src`` that they still use fails here.
 """
 
 import ast
 import importlib
 import importlib.machinery
+import importlib.util
 import inspect
 import json
 import os
@@ -35,10 +38,11 @@ import scipy.linalg
 
 import trendkit
 from spectral_match import calibrate_l2_spectral
-from trendkit import banded, calibration, strategy
+from trendkit import banded, calibration, cli, strategy
 
 PACKAGE = Path(trendkit.__file__).resolve().parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 # Runs in a fresh interpreter: the loaded set after the import and after one
 # command of each kind, then whether a later scipy.linalg shares the routines.
@@ -57,8 +61,8 @@ commands = [
      "--lambda-max-fraction", "0.05"],
     ["calibrate", "sim.csv", "--column", "observed", "--t1", "60", "--t2", "15",
      "--m", "3", "--p", "3", "--n-grid", "4"],
-    ["backtest", "prices.csv", "--model", "hp", "--vol-window", "20", "--t1", "60",
-     "--t2", "15", "--t3", "30"],
+    ["backtest", "prices.csv", "--model", "hp", "--vol-window", "20", "--t2", "15",
+     "--t3", "30"],
 ]
 codes = [cli.main(argv) for argv in commands]
 modules = sorted(sys.modules)
@@ -173,6 +177,36 @@ def test_traced_names_are_public_functions_of_their_modules():
     assert missing == []
 
 
+def _config_reads(tree):
+    """Attributes read off ``cfg`` or ``self.cfg`` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                getattr(node.value, "id", None) == "cfg"
+                or getattr(node.value, "attr", None) == "cfg"):
+            yield node.attr
+
+
+def test_benchmark_workloads_read_what_the_package_has(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    backtests = {name: w for name, w in workloads.WORKLOADS.items()
+                 if isinstance(w, workloads.Backtest)}
+    assert {name: w.first_day() for name, w in backtests.items()} == {
+        "backtest-l1-global": 3639, "backtest-hp": 519}
+    for w in backtests.values():
+        assert w.first_day() == max(strategy._first_day(w.cfg), w.cfg.vol_window)
+    args = vars(cli.build_parser().parse_args(["calibrate", "x.csv", *workloads.Calibrate.ARGS]))
+    assert calibration.CVConfig(**cli._given(calibration.CVConfig, args)) == \
+        calibration.CVConfig(T1=400, T2=50, m=12, p=12, n_grid=15)
+    read = set(_config_reads(ast.parse(WORKLOADS.read_text(), str(WORKLOADS))))
+    assert {"hp_window", "T3", "cv_m", "cv_p", "vol_window", "risk_aversion",
+            "alpha_min", "alpha_max"} <= read
+    cfg = strategy.StrategyConfig()
+    assert [name for name in sorted(read) if not hasattr(cfg, name)] == []
+
+
 def test_backtest_reads_cv_filter_through_the_strategy_binding(monkeypatch):
     assert strategy.cv_filter is calibration.cv_filter
     calls = []
@@ -186,7 +220,7 @@ def test_backtest_reads_cv_filter_through_the_strategy_binding(monkeypatch):
     # T3 = T2 makes the global horizon's geometry the local one's, so every model fits
     for model, per_day in (("l1-local", 1), ("l1-global", 1), ("l1-two-trend", 2)):
         calls.clear()
-        cfg = strategy.StrategyConfig(trend_model=model, vol_window=20, T1=60, T2=15, T3=15,
+        cfg = strategy.StrategyConfig(trend_model=model, vol_window=20, T2=15, T3=15,
                                       cv_m=2, cv_p=2, n_grid=4)
         report = strategy.run_backtest(prices, 0.0, cfg)
         assert len(calls) == per_day * len(report.allocations) > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from trendkit import strategy
-from trendkit.calibration import cv_filter, hp_lambda_for_window
+from trendkit.calibration import CVConfig, cv_filter, hp_lambda_for_window
 from trendkit.errors import DataError, InsufficientHistoryError, NumericalError
 from trendkit.filters import hp_filter
 from trendkit.series import Series
@@ -29,7 +29,7 @@ def small_cfg(model, **kw):
     """Window geometry small enough for a few hundred samples."""
     defaults = dict(
         trend_model=model, vol_window=20,
-        T1=60, T2=15, T3=30, cv_m=2, cv_p=2, n_grid=4,
+        T2=15, T3=30, cv_m=2, cv_p=2, n_grid=4,
     )
     defaults.update(kw)
     return StrategyConfig(**defaults)
@@ -311,8 +311,38 @@ class TestRunBacktest:
             raise AssertionError("trend model built")
 
         monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
-        with pytest.raises(ValueError, match="^rate must be finite, got "):
+        with pytest.raises(ValueError, match="^rate must be finite and above -1, got "):
             run_backtest(exponential_prices(300), rate, small_cfg("l1-global"))
+
+    @pytest.mark.parametrize("rate", [-1.0, -2.0, -1e300])
+    def test_rate_of_minus_one_or_less_rejected_before_the_model(self, rate, monkeypatch):
+        def no_model(*args, **kw):
+            raise AssertionError("trend model built")
+
+        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^rate must be finite and above -1, "
+                                                 f"got {re.escape(str(rate))}$"):
+                run_backtest(np.full(400, 75.0), rate, small_cfg("ma", T3=20))
+        monkeypatch.undo()  # just above -1 the flat market's cash keeps a sliver
+        report = run_backtest(np.full(400, 75.0), -0.5, small_cfg("ma", T3=20))
+        assert 0.0 < report.wealth.values[-1] < 1e-100
+
+    @pytest.mark.parametrize("value", [-1.0, -2.0])
+    def test_rates_value_of_minus_one_or_less_is_data_error(self, value, monkeypatch):
+        def no_model(*args, **kw):
+            raise AssertionError("trend model built")
+
+        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        times = np.arange(1000, 1400)
+        rates = np.full(400, 1e-4)
+        rates[[51, 300]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^rate {value:g} at 1051 is not above -1$"):
+                run_backtest(Series(times, np.full(400, 75.0)), Series(times, rates),
+                             small_cfg("ma", T3=20))
 
     def test_rates_series_must_align(self):
         prices = exponential_prices(300)
@@ -338,16 +368,16 @@ class TestRunBacktest:
             raise AssertionError(f"CVConfig built for {model!r}")
 
         monkeypatch.setattr(strategy, "CVConfig", no_cv_config)
-        cfg = small_cfg(model, T1=10, T2=15)  # windows only the L1 models read
+        cfg = small_cfg(model, T2=0)  # a window only the L1 models read
         report = run_backtest(exponential_prices(100), 0.0, cfg)
         assert report.start_index == 30 - (model == "hp")
         assert report.failures == []
 
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
-    @pytest.mark.parametrize("T1, T2", [(10, 15), (15, 15)])
-    def test_l1_models_reject_bad_local_windows(self, model, T1, T2):
-        with pytest.raises(ValueError, match=f"^need T1 > T2 >= 1, got T1={T1}, T2={T2}$"):
-            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T1=T1, T2=T2))
+    @pytest.mark.parametrize("T2", [0, -1])
+    def test_l1_models_reject_bad_local_windows(self, model, T2):
+        with pytest.raises(ValueError, match=f"^need T1 > T2 >= 1, got T1={4 * T2}, T2={T2}$"):
+            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T2=T2))
 
     @pytest.mark.parametrize("model, need", [("ma", 22), ("hp", 21)])
     def test_short_linear_model_history_names_the_model(self, model, need):
@@ -460,14 +490,27 @@ def test_config_validation():
 def test_config_keeps_what_it_is_given():
     assert [f.name for f in fields(StrategyConfig)] == [
         "trend_model", "risk_aversion", "alpha_min", "alpha_max", "vol_window",
-        "T1", "T2", "T3", "cv_m", "cv_p", "n_grid"]
+        "T2", "T3", "cv_m", "cv_p", "n_grid"]
     given = dict(trend_model="hp", T3=40, vol_window=20)
     cfg = StrategyConfig(**given)
     assert asdict(cfg) == {f.name: given.get(f.name, f.default) for f in fields(cfg)}
     assert cfg.hp_window == 40
-    for name in ("ma_window", "hp_window", "hp_lambda"):
+    for name in ("ma_window", "hp_window", "hp_lambda", "T1"):
         with pytest.raises(TypeError, match=name):
             StrategyConfig(**{name: 20})
+
+
+@pytest.mark.parametrize("T2, T3, local, long", [
+    (130, 520, (520, 130), (2080, 520)),
+    (15, 30, (60, 15), (120, 30)),
+    (15, 15, (60, 15), (60, 15)),
+    (40, 10, (160, 40), (40, 10)),
+    (1, 1, (4, 1), (4, 1)),
+])
+def test_cv_configs_train_on_four_test_widths(T2, T3, local, long):
+    cfg = StrategyConfig(T2=T2, T3=T3, cv_m=4, cv_p=5, n_grid=6)
+    shared = dict(m=4, p=5, n_grid=6, order=2)
+    assert cfg.cv_configs() == (CVConfig(*local, **shared), CVConfig(*long, **shared))
 
 
 @pytest.mark.parametrize("risk_aversion", [0.0, -1.0, np.inf, np.nan])
