@@ -13,7 +13,9 @@ scales x1 and x1000 and weights of 0.01 and 0.1 times lambda_max; then
 ``cv_filter`` at the reference calibration's geometry and at the
 ``l1-global`` backtest's; then, on the same inputs, ``l1tc_filter`` with
 either weight zero, and both ``l1_filter`` orders and ``l1tc_filter`` at
-zero weight.
+zero weight; then ``l1t_multivariate`` on seeded panels of 1 and 3 series
+at every size, with and without standardization, at weights of 0.01 and
+0.1 times lambda_max of the panel mean.
 
 Then it runs ``trendkit`` commands through ``trendkit.cli.main``, each in a
 fresh temporary directory holding the same seeded input files, and prints
@@ -48,7 +50,7 @@ import numpy as np
 
 from trendkit import cli, synth
 from trendkit.calibration import CVConfig, cv_filter, lambda_max
-from trendkit.filters import hp_filter, l1_filter, l1tc_filter
+from trendkit.filters import hp_filter, l1_filter, l1t_multivariate, l1tc_filter
 from trendkit.strategy import TREND_MODELS, StrategyConfig
 
 SIZES = (3, 4, 5, 40, 400, 2080, 5000)
@@ -113,6 +115,24 @@ def _zero_weight_cases():
         for order in (1, 2):
             yield f"l1o{order}-{base}-zero", _filter_digest, l1_filter, (y, 0.0, order)
         yield f"l1tc-{base}-zero", _filter_digest, l1tc_filter, (y, 0.0, 0.0)
+
+
+def _multivariate_cases():
+    """``l1t_multivariate`` on panels of 1 and 3 series, raw and standardized."""
+    for n in SIZES:
+        for seed in SEEDS:
+            walks = np.cumsum(np.random.default_rng(seed).standard_normal((3, n)), axis=1)
+            panel = [walks[0], 40 * walks[1] + 7, 0.2 * walks[2] - 3]
+            for m in (1, 3):
+                rows = panel[:m]
+                for standardize in (False, True):
+                    base = f"multi{m}-{'std' if standardize else 'raw'}-n{n}-s{seed}"
+                    # a zero weight returns the panel mean unsolved
+                    mean = l1t_multivariate(rows, 0.0, standardize=standardize).observed
+                    ceiling = lambda_max(mean, 2)
+                    for frac in FRACTIONS:
+                        yield (f"{base}-f{frac:g}", _filter_digest, l1t_multivariate,
+                               (rows, frac * ceiling, standardize))
 
 
 def _cv_cases():
@@ -222,6 +242,8 @@ def _cli_cases():
     yield "filter-multi-std-fraction", [*panel, "--standardize",
                                         "--lambda-max-fraction", "0.05"]
     yield "filter-multi-std-auto", [*panel, "--standardize", "--auto", *cv]
+    yield "filter-multi-zero", [*panel, "--lambda", "0"]
+    yield "filter-multi-std-zero", [*panel, "--standardize", "--lambda", "0"]
     # usage errors
     yield "filter-no-weight", walk
     yield "filter-l1tc-one-weight", [*walk, "--kind", "l1tc", "--lambda1", "1"]
@@ -236,6 +258,7 @@ def _cli_cases():
             yield f"filter-{kind}-{bad}-weight", [*walk, "--kind", kind, "--lambda", bad]
     yield "filter-l1tc-inf-weight", [*walk, "--kind", "l1tc", "--lambda1", "inf",
                                      "--lambda2", "1"]
+    yield "filter-multi-inf-weight", [*panel, "--lambda", "inf"]
     yield "filter-no-input", ["filter"]
     yield "unknown-command", ["explode"]
     # data errors
@@ -358,7 +381,8 @@ def _run_cli(argv, inputs) -> str:
 
 def main():
     lines = []
-    for name, digest, solve, args in (*_filter_cases(), *_cv_cases(), *_zero_weight_cases()):
+    for name, digest, solve, args in (*_filter_cases(), *_cv_cases(), *_zero_weight_cases(),
+                                      *_multivariate_cases()):
         try:
             line = f"{name} ok {digest(solve(*args))}"
         except Exception as exc:  # the failure itself is part of the digest

@@ -206,40 +206,33 @@ def cmd_filter(args) -> int:
     kind = args["kind"]
     input_path = args["input"]
 
+    order = {"l1t": 2, "l1t-multi": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
     if kind == "l1t-multi":
         times, columns = read_table(input_path)
         names = sorted(columns)
         rows = [columns[name] for name in names]
-        order = 2
         standardize = args.get("standardize", False)
         if standardize:
             for name in names:
-                if columns[name].std() == 0:
+                if np.ptp(columns[name]) == 0:  # its std may round to 1e-17
                     raise DataError(f"column {name!r} is constant; cannot standardize")
         # a zero weight returns the (standardized) cross-sectional mean unsolved
-        mean = filters.l1t_multivariate(rows, 0.0, standardize=standardize).observed
-        lam, selection = _resolve_lambda(mean, order, args)
-        result = filters.l1t_multivariate(rows, lam, standardize=standardize)
-        observed = result.observed
+        observed = filters.l1t_multivariate(rows, 0.0, standardize=standardize).observed
     else:
-        order = {"l1t": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
         series = ingest_csv(input_path, column=args.get("column"))
-        observed = series.values
-        times = series.times
-        if kind == "l1tc":
-            if "lambda1" not in args or "lambda2" not in args:
-                raise UsageError("l1tc needs both --lambda1 and --lambda2")
-            lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
-            result = filters.l1tc_filter(observed, *lam)
-        else:
-            if kind == "hp" and args.get("auto"):
-                raise UsageError("--auto cross-validates the L1 filters; "
-                                 "give --lambda for hp")
-            lam, selection = _resolve_lambda(observed, order, args)
-            if kind == "hp":
-                result = filters.hp_filter(observed, lam, order=order)
-            else:
-                result = filters.l1_filter(observed, lam, order=order)
+        times, observed = series.times, series.values
+
+    if kind == "l1tc":
+        if "lambda1" not in args or "lambda2" not in args:
+            raise UsageError("l1tc needs both --lambda1 and --lambda2")
+        lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
+        result = filters.l1tc_filter(observed, *lam)
+    else:
+        if kind == "hp" and args.get("auto"):
+            raise UsageError("--auto cross-validates the L1 filters; give --lambda for hp")
+        lam, selection = _resolve_lambda(observed, order, args)
+        fit = filters.hp_filter if kind == "hp" else filters.l1_filter
+        result = fit(observed, lam, order=order)
 
     diag = result.diagnostics
     document = {

@@ -8,7 +8,8 @@ penalty on discrete derivatives of the fitted trend.
                       is piecewise constant (order 1) or piecewise
                       linear (order 2)
 * ``l1tc_filter``     both L1 penalties with separate weights
-* ``l1t_multivariate`` common piecewise-linear trend of several series
+* ``l1t_multivariate`` common piecewise-linear trend of several series:
+                      the order-2 ``l1_filter`` of their cross-sectional mean
 * ``detect_breaks``   positions where the fitted trend changes regime
 
 Every L1 filter is one problem, 1/2 ||y - x||^2 plus weighted L1 norms
@@ -34,14 +35,13 @@ import numpy as np
 
 from . import ipm
 from .banded import band_solve, diff_operator, gram_banded, hp_banded, interleave
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, DataError, NumericalError
 from .ipm import BoxQP, IpmSolution, solve_box_qp
 from .series import as_values
 from .tv import tv_denoise
 
 __all__ = [
     "FilterResult",
-    "Standardization",
     "hp_filter",
     "l1_filter",
     "l1tc_filter",
@@ -50,14 +50,6 @@ __all__ = [
     "l1_objective",
     "l1tc_objective",
 ]
-
-
-@dataclass(frozen=True)
-class Standardization:
-    """Per-series centering/scaling applied before a multivariate fit."""
-
-    means: np.ndarray
-    stds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,10 +67,6 @@ class FilterResult:
     lam: Union[float, tuple]
     diagnostics: Optional[IpmSolution]
     observed: np.ndarray
-    standardization: Optional[Standardization] = None
-
-    def __len__(self) -> int:
-        return len(self.trend)
 
 
 def _check_weight(name: str, lam) -> float:
@@ -187,10 +175,9 @@ def l1t_multivariate(ys, lam: float, standardize: bool = False) -> FilterResult:
     """Common piecewise-linear trend of m series of equal length.
 
     The stacked problem reduces exactly to the univariate filter applied
-    to the cross-sectional mean, so that is how it is solved. With
-    ``standardize`` each series is centered and divided by its standard
-    deviation first; the statistics are kept on the result so the trend
-    can be mapped back to original units.
+    to the cross-sectional mean, so the result is ``l1_filter`` of that
+    mean at order 2, with the mean as ``observed``. With ``standardize``
+    each series is centered and divided by its standard deviation first.
     """
     rows = [as_values(s) for s in ys]
     if not rows:
@@ -198,23 +185,17 @@ def l1t_multivariate(ys, lam: float, standardize: bool = False) -> FilterResult:
     n = len(rows[0])
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != n:
-            raise ValueError(f"series {i} has length {len(row)}, expected {n}")
+            raise DataError(f"series {i} has length {len(row)}, expected {n}")
     data = np.vstack(rows)
-
-    standardization = None
     if standardize:
-        means = data.mean(axis=1)
         stds = data.std(axis=1)
-        if np.any(stds == 0):
-            bad = int(np.flatnonzero(stds == 0)[0])
-            raise ValueError(f"series {bad} is constant; cannot standardize")
-        data = (data - means[:, None]) / stds[:, None]
-        standardization = Standardization(means=means, stds=stds)
-
-    mean_series = as_values(data.mean(axis=0))
-    lam = _check_weight("lam", lam)
-    trend, duals, solution = _l1_fit(mean_series, {2: lam})
-    return FilterResult(trend, duals[2], lam, solution, mean_series, standardization)
+        # a constant row's std can round to 1e-17, and a non-constant one's to 0
+        flat = (np.ptp(data, axis=1) == 0) | (stds == 0)
+        if np.any(flat):
+            bad = int(np.flatnonzero(flat)[0])
+            raise DataError(f"series {bad} is constant; cannot standardize")
+        data = (data - data.mean(axis=1)[:, None]) / stds[:, None]
+    return l1_filter(data.mean(axis=0), lam, order=2)
 
 
 def detect_breaks(result: FilterResult, order: int) -> list:

@@ -96,9 +96,14 @@ class StrategyConfig:
 
     def cv_configs(self) -> tuple[CVConfig, CVConfig]:
         """Cross-validation geometries of the local horizon (test T2) and the
-        global one (test T3), each training on four times its test width."""
+        global one (test T3), each training on four times its test width. A
+        test width below 1 is a ``ValueError`` that names it."""
+        widths = {"T2": self.T2, "T3": self.T3}
+        for name, w in widths.items():
+            if w < 1:
+                raise ValueError(f"{name} must be at least 1, got {w}")
         return tuple(CVConfig(T1=4 * w, T2=w, m=self.cv_m, p=self.cv_p,
-                              n_grid=self.n_grid, order=2) for w in (self.T2, self.T3))
+                              n_grid=self.n_grid, order=2) for w in widths.values())
 
 
 @dataclass(frozen=True)

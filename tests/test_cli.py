@@ -280,14 +280,17 @@ class TestFilterCommand:
     def test_multivariate_constant_column_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         f = tmp_path / "panel.csv"
-        write_csv(f, np.arange(40), [
-            ("a", rng.normal(size=40).cumsum()), ("flat", np.full(40, 3.0)),
-        ])
-        code = main([
-            "filter", str(f), "--kind", "l1t-multi", "--standardize", "--lambda", "1",
-        ])
-        assert code == EXIT_DATA
-        assert "'flat'" in capsys.readouterr().err
+        for level in (3.0, 0.3):  # the std of ten 0.3s is 5.6e-17, not 0
+            write_csv(f, np.arange(10), [
+                ("a", rng.normal(size=10).cumsum()), ("flat", np.full(10, level)),
+            ])
+            code = main([
+                "filter", str(f), "--kind", "l1t-multi", "--standardize", "--lambda", "1",
+            ])
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == \
+                "data error: column 'flat' is constant; cannot standardize\n"
+            assert not (tmp_path / "panel.trend.csv").exists()
 
     def test_numeric_config_value_names_a_column(self, tmp_path):
         f = tmp_path / "years.csv"
@@ -514,9 +517,18 @@ class TestBacktestCommand:
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
                          "--t3", "20", "--t2", "0"]) == code
         if code == EXIT_USAGE:
-            assert capsys.readouterr().err == \
-                "usage error: need T1 > T2 >= 1, got T1=0, T2=0\n"
+            assert capsys.readouterr().err == "usage error: T2 must be at least 1, got 0\n"
             assert not (tmp_path / "prices.wealth.csv").exists()
+
+    @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
+    def test_l1_models_name_a_zero_long_window(self, tmp_path, capsys, model):
+        f = self.make_prices(tmp_path, n=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
+                         "--t2", "5", "--t3", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: T3 must be at least 1, got 0\n"
+        assert list(tmp_path.iterdir()) == [f]
 
     @pytest.mark.parametrize("flags, t2", [
         (["--model", "l1-global", "--t3", "1"], 1),

@@ -199,6 +199,18 @@ class TestMultivariate:
         a = l1t_multivariate([walk], 2.0).trend
         b = l1_filter(walk, 2.0, order=2).trend
         np.testing.assert_array_equal(a, b)
+        # a panel's fit is the order-2 filter of its (standardized) mean, bit for bit
+        data = np.vstack([walk, 40.0 * walk[::-1] + 7.0, 0.2 * np.sin(np.arange(80.0)) - 3.0])
+        scaled = (data - data.mean(axis=1)[:, None]) / data.std(axis=1)[:, None]
+        for standardize, mean in [(False, data.mean(axis=0)), (True, scaled.mean(axis=0))]:
+            lam = 0.05 * lambda_max(mean, 2)
+            joint = l1t_multivariate(list(data), lam, standardize=standardize)
+            single = l1_filter(mean, lam, order=2)
+            for name in ("trend", "dual", "observed"):
+                np.testing.assert_array_equal(getattr(joint, name), getattr(single, name))
+            assert joint.lam == single.lam
+            assert joint.diagnostics.iterations == single.diagnostics.iterations > 0
+            assert joint.diagnostics.duality_gap == single.diagnostics.duality_gap
 
     def test_identical_copies_match_univariate(self, walk):
         a = l1t_multivariate([walk, walk, walk], 2.0).trend
@@ -213,30 +225,30 @@ class TestMultivariate:
         b = l1_filter((y1 + y2) / 2.0, 4.0, order=2).trend
         assert np.max(np.abs(a - b)) <= 1e-8
 
-    def test_standardization_statistics_retained(self):
+    def test_standardized_fit_filters_the_scaled_mean(self):
         rng = np.random.default_rng(6)
         rows = [5.0 + 3.0 * rng.normal(size=50).cumsum() for _ in range(3)]
         result = l1t_multivariate(rows, 1.0, standardize=True)
-        assert result.standardization is not None
-        np.testing.assert_allclose(result.standardization.means,
-                                   [np.mean(r) for r in rows])
-        np.testing.assert_allclose(result.standardization.stds,
-                                   [np.std(r) for r in rows])
-        scaled = np.vstack([
-            (r - m) / s for r, m, s in zip(
-                rows, result.standardization.means, result.standardization.stds
-            )
-        ]).mean(axis=0)
-        expected = l1_filter(scaled, 1.0, order=2).trend
-        assert np.max(np.abs(result.trend - expected)) <= 1e-10
+        scaled = np.vstack([(r - np.mean(r)) / np.std(r) for r in rows]).mean(axis=0)
+        expected = l1_filter(scaled, 1.0, order=2)
+        assert np.max(np.abs(result.observed - expected.observed)) <= 1e-10
+        assert np.max(np.abs(result.trend - expected.trend)) <= 1e-10
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="^series 1 has length 11, expected 10$"):
             l1t_multivariate([np.zeros(10), np.zeros(11)], 1.0)
+        with pytest.raises(ValueError, match="^need at least one series$"):
+            l1t_multivariate([], 1.0)
 
     def test_constant_series_cannot_standardize(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="^series 0 is constant; cannot standardize$"):
             l1t_multivariate([np.ones(10), np.arange(10.0)], 1.0, standardize=True)
+        # std rounds to 5.6e-17 on a constant row and to 0 on a subnormal step
+        for row in (np.full(10, 0.3), np.r_[0.0, 5e-324, np.zeros(8)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="^series 1 is constant; cannot standardize$"):
+                    l1t_multivariate([np.arange(10.0), row], 1.0, standardize=True)
 
 
 class TestDetectBreaks:

@@ -376,8 +376,10 @@ class TestRunBacktest:
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     @pytest.mark.parametrize("T2", [0, -1])
     def test_l1_models_reject_bad_local_windows(self, model, T2):
-        with pytest.raises(ValueError, match=f"^need T1 > T2 >= 1, got T1={4 * T2}, T2={T2}$"):
+        with pytest.raises(ValueError, match=f"^T2 must be at least 1, got {T2}$"):
             run_backtest(exponential_prices(400), 0.0, small_cfg(model, T2=T2))
+        with pytest.raises(ValueError, match=f"^T3 must be at least 1, got {T2}$"):
+            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T3=T2))
 
     @pytest.mark.parametrize("model, need", [("ma", 22), ("hp", 21)])
     def test_short_linear_model_history_names_the_model(self, model, need):
