@@ -214,12 +214,14 @@ def hp_banded(op: DiffOperator, lam: float) -> BandedSymMatrix:
     return BandedSymMatrix(n=op.n, bandwidth=op.order, bands=bands)
 
 
-def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
+def band_solve(A: BandedSymMatrix, b, overwrite: bool = False) -> np.ndarray:
     """Solve A x = b by band Cholesky (A must be positive definite).
 
     Calls LAPACK directly: ``dptsv`` for a tridiagonal A and ``dpbsv``
     otherwise, the routines ``scipy.linalg.solveh_banded`` picks, so the
     solution is bit for bit the same. Non-finite input raises ValueError.
+    ``overwrite`` lets LAPACK factor A's bands and solve in b (contiguous
+    floats) in place, with no copies; a failed factorization leaves b.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
@@ -227,9 +229,10 @@ def band_solve(A: BandedSymMatrix, b) -> np.ndarray:
     if not (np.isfinite(A.bands).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     if A.bandwidth == 1:
-        _, _, x, info = lapack.dptsv(A.bands[0], A.bands[1, :-1], b)
+        _, _, x, info = lapack.dptsv(A.bands[0], A.bands[1, :-1], b, *[overwrite] * 3)
     else:
-        _, x, info = lapack.dpbsv(A.bands, b, lower=1)
+        _, x, info = lapack.dpbsv(A.bands, b, lower=1, overwrite_ab=overwrite,
+                                  overwrite_b=overwrite)
     if info > 0:
         raise NotPositiveDefiniteError(f"band Cholesky failed on a {A.n}x{A.n} system: "
                                        f"{info}th leading minor not positive definite")

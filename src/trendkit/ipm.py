@@ -12,11 +12,11 @@ computed by eliminating the bound multipliers into a single banded SPD
 solve, and a backtracking line search with a 0.99 fraction-to-boundary
 cap keeps every iterate strictly inside the box.
 
-Each point is evaluated once: :meth:`IpmState.at` computes its slacks and
-dual residual (its one product Q nu) when the line search tries it, and
-the accepted trial is the next iterate as it stands. A non-finite Newton
-system (a slack rounded to zero) or duality gap (box bounds near the
-float limit) raises :class:`ConvergenceError`.
+Each solve allocates its buffers once: the iterate and a trial point,
+swapped when the line search accepts it, and the direction. Each point is
+evaluated once, with its one product Q nu. A non-finite Newton system (a
+slack rounded to zero) or duality gap (box bounds near the float limit)
+raises :class:`ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ class BoxQP:
         r = np.asarray(self.r, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         if r.shape != (self.Q.n,) or upper.shape != (self.Q.n,):
-            raise ValueError(
-                f"dimension mismatch: Q is {self.Q.n}, r {r.shape}, upper {upper.shape}"
-            )
+            raise ValueError(f"dimension mismatch: Q is {self.Q.n}, "
+                             f"r {r.shape}, upper {upper.shape}")
         if not np.all(upper > 0):
             raise ValueError("all box bounds must be strictly positive")
         if not np.isfinite(r).all():  # bad data, unlike a non-finite Newton system
@@ -64,27 +63,40 @@ class BoxQP:
     def dim(self) -> int:
         return self.Q.n
 
-    def objective(self, nu) -> float:
-        nu = np.asarray(nu, dtype=float)
-        return 0.5 * nu @ self.Q.matvec(nu) - self.r @ nu
 
-
-@dataclass
 class IpmState:
-    """Strictly feasible iterate (-upper < nu < upper, multipliers > 0) with
-    its slacks and dual residual Q nu - r + mu_hi - mu_lo, built by :meth:`at`."""
+    """Strictly feasible point (-upper < nu < upper, multipliers > 0) in
+    three buffers: ``nu``, ``ms`` = [mu_hi, mu_lo, s_hi, s_lo] and ``res`` =
+    [r_dual, r_cent], with the dual residual Q nu - r + mu_hi - mu_lo and
+    the centering rows :func:`residual` fills. The other fields are views."""
 
-    nu: np.ndarray
-    mu_hi: np.ndarray
-    mu_lo: np.ndarray
-    s_hi: np.ndarray
-    s_lo: np.ndarray
-    r_dual: np.ndarray
+    def __init__(self, p: int):
+        self.nu, self.ms, self.res = np.empty(p), np.empty(4 * p), np.empty(3 * p)
+        self.mu, self.s = self.ms[:2 * p], self.ms[2 * p:]
+        self.mu_hi, self.mu_lo, self.s_hi, self.s_lo = np.split(self.ms, 4)
+        self.r_dual, self.r_cent = self.res[:p], self.res[p:]
 
     @classmethod
     def at(cls, problem: BoxQP, nu, mu_hi, mu_lo) -> "IpmState":
-        return cls(nu, mu_hi, mu_lo, problem.upper - nu, nu + problem.upper,
-                   problem.Q.matvec(nu) - problem.r + mu_hi - mu_lo)
+        state = cls(problem.dim)
+        state.nu[:], state.mu_hi[:], state.mu_lo[:] = nu, mu_hi, mu_lo
+        return state._evaluate(problem)
+
+    def step(self, problem: BoxQP, base: "IpmState", alpha: float, dz) -> "IpmState":
+        """Become base + alpha (d_nu, d_mu) for dz = [d_mu, -d_nu, d_nu]."""
+        np.multiply(dz[3 * problem.dim:], alpha, out=self.nu)
+        self.nu += base.nu
+        np.multiply(dz[:2 * problem.dim], alpha, out=self.mu)
+        self.mu += base.mu
+        return self._evaluate(problem)
+
+    def _evaluate(self, problem: BoxQP) -> "IpmState":
+        np.subtract(problem.upper, self.nu, out=self.s_hi)
+        np.add(self.nu, problem.upper, out=self.s_lo)
+        np.subtract(problem.Q.matvec(self.nu), problem.r, out=self.r_dual)
+        self.r_dual += self.mu_hi
+        self.r_dual -= self.mu_lo
+        return self
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,7 @@ class IpmSolution:
 
 def initial_state(problem: BoxQP) -> IpmState:
     """Center start: nu = 0 (strictly interior), unit multipliers."""
-    p = problem.dim
-    return IpmState.at(problem, np.zeros(p), np.ones(p), np.ones(p))
+    return IpmState.at(problem, 0.0, 1.0, 1.0)
 
 
 def surrogate_gap(state: IpmState) -> float:
@@ -108,27 +119,30 @@ def surrogate_gap(state: IpmState) -> float:
 
 
 def residual(state: IpmState, tau: float) -> np.ndarray:
-    """Stacked KKT residual r_tau = (dual, centering-hi, centering-lo)."""
-    p = len(state.nu)
-    out = np.empty(3 * p)
-    out[:p] = state.r_dual
-    np.multiply(state.mu_hi, state.s_hi, out=out[p:2 * p])
-    np.multiply(state.mu_lo, state.s_lo, out=out[2 * p:])
-    out[p:] -= 1.0 / tau
-    return out
+    """Stacked KKT residual r_tau = (dual, centering-hi, centering-lo): the
+    state's ``res``, whose centering rows mu * s - 1/tau this fills."""
+    np.multiply(state.mu, state.s, out=state.r_cent)
+    state.r_cent -= 1.0 / tau
+    return state.res
 
 
-def newton_step(problem: BoxQP, state: IpmState, res: np.ndarray):
+def newton_step(problem: BoxQP, state: IpmState, res: np.ndarray, out=None):
     """Newton direction solving J dz = -res, for res = residual(state, tau),
-    via multiplier elimination.
+    via multiplier elimination: views (d_nu, d_mu_hi, d_mu_lo) of ``out``,
+    a 4p array left holding [d_mu_hi, d_mu_lo, -d_nu, d_nu].
 
     Substituting the two centering rows into the dual row collapses the
-    3p x 3p system to one banded SPD solve in the nu block.
+    3p x 3p system to one banded SPD solve in the nu block, which LAPACK
+    solves in place in the d_nu slot of ``out``.
     """
     p = problem.dim
-    r_dual, r_cent_hi, r_cent_lo = res[:p], res[p:2 * p], res[2 * p:]
-    d = state.mu_hi / state.s_hi + state.mu_lo / state.s_lo
-    rhs = -r_dual + r_cent_hi / state.s_hi - r_cent_lo / state.s_lo
+    out = np.empty(4 * p) if out is None else out
+    r_dual, r_cent, d, rhs = res[:p], res[p:], out[:p], out[3 * p:]
+    np.divide(state.mu, state.s, out=out[:2 * p])
+    np.add(d, out[p:2 * p], out=d)  # mu_hi / s_hi + mu_lo / s_lo
+    np.divide(r_cent, state.s, out=out[p:3 * p])
+    np.subtract(out[p:2 * p], r_dual, out=rhs)
+    rhs -= out[2 * p:3 * p]  # -r_dual + r_cent_hi / s_hi - r_cent_lo / s_lo
 
     # Q can be singular (the mixed filter's stacked operator has dependent
     # rows), leaving positive definiteness to the barrier diagonal alone;
@@ -139,16 +153,21 @@ def newton_step(problem: BoxQP, state: IpmState, res: np.ndarray):
     jitter = 0.0
     for attempt in range(6):
         try:
-            d_nu = band_solve(problem.Q.add_diagonal(d + jitter), rhs)
+            band_solve(problem.Q.add_diagonal(d + jitter if jitter else d), rhs, overwrite=True)
             break
         except NotPositiveDefiniteError as exc:
             if attempt == 5:
                 raise ConvergenceError(f"singular Newton system: {exc}") from exc
             unit = 1e-13 * (1.0 + float(np.max(np.abs(problem.Q.bands[0]))))
             jitter = unit if jitter == 0.0 else 10.0 * jitter
-    d_mu_hi = (-r_cent_hi + state.mu_hi * d_nu) / state.s_hi
-    d_mu_lo = (-r_cent_lo - state.mu_lo * d_nu) / state.s_lo
-    return d_nu, d_mu_hi, d_mu_lo
+    # d_mu = (mu * (d_nu, -d_nu) - r_cent) / s, which is bit for bit
+    # ((-r_cent_hi + mu_hi d_nu) / s_hi, (-r_cent_lo - mu_lo d_nu) / s_lo)
+    np.negative(rhs, out=out[2 * p:3 * p])
+    np.multiply(state.mu_hi, rhs, out=d)
+    np.multiply(state.mu_lo, out[2 * p:3 * p], out=out[p:2 * p])
+    np.subtract(out[:2 * p], r_cent, out=out[:2 * p])
+    np.divide(out[:2 * p], state.s, out=out[:2 * p])
+    return rhs, d, out[p:2 * p]
 
 
 def solve_box_qp(problem: BoxQP) -> IpmSolution:
@@ -158,11 +177,9 @@ def solve_box_qp(problem: BoxQP) -> IpmSolution:
     # the gap overflows the barrier is undefined: either way the loop raises
     # ConvergenceError, and numpy's warnings would only repeat that.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p = problem.dim
-        m = 2 * p
-        state = initial_state(problem)
-        gaps = [surrogate_gap(state)]
-        iterations = 0
+        p, m = problem.dim, 2 * problem.dim
+        state, trial, dz = initial_state(problem), IpmState(p), np.empty(4 * p)
+        iterations, gaps = 0, [surrogate_gap(state)]
         tau = MU_MULT * m / gaps[0]
 
         while True:
@@ -177,34 +194,34 @@ def solve_box_qp(problem: BoxQP) -> IpmSolution:
             tau = MU_MULT * m / eta
             res = residual(state, tau)
             try:
-                d_nu, d_mu_hi, d_mu_lo = newton_step(problem, state, res)
+                newton_step(problem, state, res, dz)
             except ValueError as exc:  # band_solve's finiteness check
                 raise ConvergenceError(f"non-finite Newton system in iteration "
                                        f"{iterations + 1}") from exc
 
-            base_norm = np.linalg.norm(res)
-            # Largest step keeping the multipliers positive and nu strictly in
-            # the box. Python's min ignores a NaN ratio, and with it that pair.
-            alpha = 1.0 / BOUNDARY_FRACTION
-            for value, rate in ((state.mu_hi, -d_mu_hi), (state.mu_lo, -d_mu_lo),
-                                (state.s_hi, d_nu), (state.s_lo, -d_nu)):
-                ratios = np.divide(value, rate, out=np.full(p, np.inf), where=rate > 0)
-                alpha = min(alpha, ratios.min())
+            base_norm = math.sqrt(res.dot(res))  # np.linalg.norm's own sum
+            # Largest step keeping ms = [mu, s] positive: -(ms / dz) at the
+            # negative ratio nearest zero. Negative doubles' int64 bits sort below
+            # all others, by magnitude, so argmin finds it with no mask (a divide
+            # with where= loops once per run of the mask).
+            ratios = np.divide(state.ms, dz, out=trial.ms)
+            nearest = ratios[ratios.view(np.int64).argmin()]
+            alpha = min(1.0 / BOUNDARY_FRACTION,
+                        -nearest if math.copysign(1.0, nearest) < 0 else math.inf)
             alpha = min(1.0, BOUNDARY_FRACTION * alpha)
 
             while alpha >= MIN_STEP:
-                trial = IpmState.at(problem, state.nu + alpha * d_nu,
-                                    state.mu_hi + alpha * d_mu_hi,
-                                    state.mu_lo + alpha * d_mu_lo)
+                trial.step(problem, state, alpha, dz)
                 decrease = 1.0 - BACKTRACK_SLOPE * alpha
+                res = residual(trial, tau)
                 # Endgame: once the dual residual sits at its rounding floor the
                 # stacked norm cannot shrink further, but a centering step that
                 # stays dual-feasible and strictly reduces the gap is still
                 # progress toward the termination test.
-                if (np.linalg.norm(residual(trial, tau)) <= decrease * base_norm
+                if (math.sqrt(res.dot(res)) <= decrease * base_norm
                         or (np.max(np.abs(trial.r_dual)) <= tol
                             and surrogate_gap(trial) <= decrease * eta)):
-                    state = trial
+                    state, trial = trial, state
                     break
                 alpha *= BACKTRACK_STEP
             else:
@@ -212,11 +229,5 @@ def solve_box_qp(problem: BoxQP) -> IpmSolution:
             iterations += 1
             gaps.append(surrogate_gap(state))
 
-        return IpmSolution(
-            nu_star=state.nu,
-            iterations=iterations,
-            duality_gap=eta,
-            kkt_residual=float(np.max(np.abs(residual(state, tau)))),
-            converged=converged,
-            gap_history=np.asarray(gaps),
-        )
+        kkt = float(np.max(np.abs(residual(state, tau))))
+        return IpmSolution(state.nu, iterations, eta, kkt, converged, np.asarray(gaps))

@@ -1,16 +1,24 @@
 """Independent dense oracles used by the test suite.
 
-Everything here deliberately avoids the package's banded/IPM code
-paths: difference matrices come from numpy, linear solves are dense,
-and optima are found by exhaustive enumeration, so these results can
-certify the production implementations.
+Everything here but :func:`reference_solve_box_qp` deliberately avoids
+the package's banded/IPM code paths: difference matrices come from numpy,
+linear solves are dense, and optima are found by exhaustive enumeration,
+so these results can certify the production implementations. The
+reference solver is the interior-point loop in its plain form, which pins
+the solver's iterates bit for bit.
 """
 
+import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import null_space
+
+from trendkit import ipm
+from trendkit.banded import band_solve
+from trendkit.errors import ConvergenceError, NotPositiveDefiniteError
 
 
 def dense_diff(order, n):
@@ -142,3 +150,120 @@ def residual_jacobian(problem, state):
     J[2 * p:, :p] = np.diag(state.mu_lo)
     J[2 * p:, 2 * p:] = np.diag(s_lo)
     return J
+
+
+# The interior-point loop in its plain form: a fresh array for every
+# intermediate, the step-to-boundary rule pair by pair and a new shifted
+# matrix per Newton system. ``ipm.solve_box_qp`` does the same arithmetic in
+# one workspace and must reproduce these iterates bit for bit. It reads
+# ``ipm.TOL`` and ``ipm.MAX_ITER`` per call, as the solver does.
+
+@dataclasses.dataclass
+class _ReferenceState:
+    nu: np.ndarray
+    mu_hi: np.ndarray
+    mu_lo: np.ndarray
+    s_hi: np.ndarray
+    s_lo: np.ndarray
+    r_dual: np.ndarray
+
+    @classmethod
+    def at(cls, problem, nu, mu_hi, mu_lo):
+        return cls(nu, mu_hi, mu_lo, problem.upper - nu, nu + problem.upper,
+                   problem.Q.matvec(nu) - problem.r + mu_hi - mu_lo)
+
+
+def _reference_gap(state):
+    return float(state.s_hi @ state.mu_hi + state.s_lo @ state.mu_lo)
+
+
+def _reference_residual(state, tau):
+    p = len(state.nu)
+    out = np.empty(3 * p)
+    out[:p] = state.r_dual
+    np.multiply(state.mu_hi, state.s_hi, out=out[p:2 * p])
+    np.multiply(state.mu_lo, state.s_lo, out=out[2 * p:])
+    out[p:] -= 1.0 / tau
+    return out
+
+
+def _reference_newton_step(problem, state, res):
+    p = problem.dim
+    r_dual, r_cent_hi, r_cent_lo = res[:p], res[p:2 * p], res[2 * p:]
+    d = state.mu_hi / state.s_hi + state.mu_lo / state.s_lo
+    rhs = -r_dual + r_cent_hi / state.s_hi - r_cent_lo / state.s_lo
+    jitter = 0.0
+    for attempt in range(6):
+        try:
+            d_nu = band_solve(problem.Q.add_diagonal(d + jitter), rhs)
+            break
+        except NotPositiveDefiniteError as exc:
+            if attempt == 5:
+                raise ConvergenceError(f"singular Newton system: {exc}") from exc
+            unit = 1e-13 * (1.0 + float(np.max(np.abs(problem.Q.bands[0]))))
+            jitter = unit if jitter == 0.0 else 10.0 * jitter
+    d_mu_hi = (-r_cent_hi + state.mu_hi * d_nu) / state.s_hi
+    d_mu_lo = (-r_cent_lo - state.mu_lo * d_nu) / state.s_lo
+    return d_nu, d_mu_hi, d_mu_lo
+
+
+def reference_solve_box_qp(problem):
+    """Solve ``problem`` with the plain-form loop, as an ``ipm.IpmSolution``."""
+    tol, max_iter = ipm.TOL, ipm.MAX_ITER
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = problem.dim
+        m = 2 * p
+        state = _ReferenceState.at(problem, np.zeros(p), np.ones(p), np.ones(p))
+        gaps = [_reference_gap(state)]
+        iterations = 0
+        tau = ipm.MU_MULT * m / gaps[0]
+
+        while True:
+            eta = gaps[-1]
+            if not math.isfinite(eta):
+                raise ConvergenceError(f"non-finite duality gap {eta:g} "
+                                       f"after {iterations} iterations")
+            converged = eta <= tol and float(np.max(np.abs(state.r_dual))) <= tol
+            if converged or iterations >= max_iter:
+                break
+
+            tau = ipm.MU_MULT * m / eta
+            res = _reference_residual(state, tau)
+            try:
+                d_nu, d_mu_hi, d_mu_lo = _reference_newton_step(problem, state, res)
+            except ValueError as exc:
+                raise ConvergenceError(f"non-finite Newton system in iteration "
+                                       f"{iterations + 1}") from exc
+
+            base_norm = np.linalg.norm(res)
+            alpha = 1.0 / ipm.BOUNDARY_FRACTION
+            for value, rate in ((state.mu_hi, -d_mu_hi), (state.mu_lo, -d_mu_lo),
+                                (state.s_hi, d_nu), (state.s_lo, -d_nu)):
+                ratios = np.divide(value, rate, out=np.full(p, np.inf), where=rate > 0)
+                alpha = min(alpha, ratios.min())
+            alpha = min(1.0, ipm.BOUNDARY_FRACTION * alpha)
+
+            while alpha >= ipm.MIN_STEP:
+                trial = _ReferenceState.at(problem, state.nu + alpha * d_nu,
+                                           state.mu_hi + alpha * d_mu_hi,
+                                           state.mu_lo + alpha * d_mu_lo)
+                decrease = 1.0 - ipm.BACKTRACK_SLOPE * alpha
+                if (np.linalg.norm(_reference_residual(trial, tau)) <= decrease * base_norm
+                        or (np.max(np.abs(trial.r_dual)) <= tol
+                            and _reference_gap(trial) <= decrease * eta)):
+                    state = trial
+                    break
+                alpha *= ipm.BACKTRACK_STEP
+            else:
+                break
+            iterations += 1
+            gaps.append(_reference_gap(state))
+
+        return ipm.IpmSolution(
+            nu_star=state.nu,
+            iterations=iterations,
+            duality_gap=eta,
+            kkt_residual=float(np.max(np.abs(_reference_residual(state, tau)))),
+            converged=converged,
+            gap_history=np.asarray(gaps),
+        )

@@ -263,6 +263,9 @@ def test_band_solve_is_bitwise_solveh_banded(bandwidth):
         assert np.array_equal(band_solve(A, b), expected)
         F = BandedSymMatrix(n, bandwidth, np.asfortranarray(A.bands))
         assert np.array_equal(band_solve(F, b), expected)
+        x = b.copy()  # overwrite: LAPACK factors a fresh copy of A and solves in x
+        band_solve(A.add_diagonal(np.zeros(n)), x, overwrite=True)
+        assert np.array_equal(x, expected)
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 2, 4])
@@ -300,6 +303,10 @@ def test_band_solve_rejects_indefinite_banded(bandwidth):
     A.bands[0, 3] = -1.0
     with pytest.raises(NotPositiveDefiniteError, match="leading minor"):
         band_solve(A, np.ones(A.n))
+    b = np.ones(A.n)
+    with pytest.raises(NotPositiveDefiniteError, match="leading minor"):
+        band_solve(A.add_diagonal(np.zeros(A.n)), b, overwrite=True)
+    assert np.array_equal(b, np.ones(A.n))  # a failed factorization leaves b
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trendkit import ipm, synth
-from trendkit.banded import BandedSymMatrix, diff_operator, gram_banded
+from trendkit.banded import BandedSymMatrix, diff_operator, gram_banded, interleave
 from trendkit.calibration import lambda_max
 from trendkit.errors import ConvergenceError, NotPositiveDefiniteError
 from trendkit.filters import l1tc_filter
@@ -19,7 +19,7 @@ from trendkit.ipm import (
     surrogate_gap,
 )
 
-from oracles import box_qp_bruteforce, dense_banded, residual_jacobian
+from oracles import box_qp_bruteforce, dense_banded, reference_solve_box_qp, residual_jacobian
 
 
 def _identity_problem(r, upper):
@@ -69,7 +69,9 @@ def test_matches_bruteforce_oracle_on_banded_problems():
         oracle_obj, _ = box_qp_bruteforce(
             dense_banded(problem.Q), problem.r, problem.upper
         )
-        assert abs(problem.objective(sol.nu_star) - oracle_obj) <= 1e-6
+        nu = sol.nu_star
+        objective = 0.5 * nu @ dense_banded(problem.Q) @ nu - problem.r @ nu
+        assert abs(objective - oracle_obj) <= 1e-6
 
 
 def test_strict_feasibility_of_solution():
@@ -256,9 +258,9 @@ def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     retries = []
     band_solve = ipm.band_solve
 
-    def counted_solve(A, b):
+    def counted_solve(A, b, **kwargs):
         try:
-            return band_solve(A, b)
+            return band_solve(A, b, **kwargs)
         except NotPositiveDefiniteError:
             retries.append(1)
             raise
@@ -290,3 +292,72 @@ def test_stop_reads_the_module_tolerance(monkeypatch):
     assert loose.converged and loose.duality_gap <= 1e-4
     assert loose.iterations < tight.iterations
     np.testing.assert_array_equal(loose.gap_history, tight.gap_history[:len(loose.gap_history)])
+
+
+def _bits(solution):
+    """Every output of a solve as bytes, so -0.0 and +0.0 differ."""
+    return [np.asarray(x, dtype=float).tobytes() for x in (
+        solution.nu_star, solution.iterations, solution.duality_gap,
+        solution.kkt_residual, solution.converged, solution.gap_history)]
+
+
+def _mixed_dual(y, lam1, lam2):
+    """The l1tc dual of y: orders 1 and 2 interleaved, bandwidth 4."""
+    ops = (diff_operator(1, len(y)), diff_operator(2, len(y)))
+    return BoxQP(gram_banded(*ops), interleave(*(op.apply(y) for op in ops)),
+                 interleave(*(np.full(op.rows, lam) for op, lam in zip(ops, (lam1, lam2)))))
+
+
+def _seeded_problem(bandwidth, n, seed):
+    rng = np.random.default_rng([bandwidth, n, seed])
+    if bandwidth == 0:
+        Q = BandedSymMatrix(n, 0, rng.uniform(0.5, 2.0, size=(1, n)))
+        return BoxQP(Q, 3.0 * rng.normal(size=n), rng.uniform(0.2, 3.0, size=n))
+    if bandwidth == 4:
+        return _mixed_dual(np.cumsum(rng.normal(size=n)), *rng.uniform(0.05, 2.0, size=2))
+    return _random_problem(rng, n, order=bandwidth, lam_range=(0.05, 3.0))
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 4])
+@pytest.mark.parametrize("n", [6, 60, 400])
+def test_iterates_match_the_reference_loop_bit_for_bit(bandwidth, n):
+    for seed in range(3):
+        problem = _seeded_problem(bandwidth, n, seed)
+        assert _bits(solve_box_qp(problem)) == _bits(reference_solve_box_qp(problem))
+
+
+def test_failures_match_the_reference_loop(monkeypatch):
+    # a slack rounds to zero: the same message, naming the same iteration
+    problem = _order1_dual_x1000()
+    with pytest.raises(ConvergenceError) as ours:
+        solve_box_qp(problem)
+    with pytest.raises(ConvergenceError) as reference:
+        reference_solve_box_qp(problem)
+    assert str(ours.value) == str(reference.value)
+    assert "non-finite Newton system in iteration" in str(ours.value)
+
+    # a singular mixed system that retries with jitter on the way
+    retries = []
+    band_solve = ipm.band_solve
+
+    def counted_solve(A, b, **kwargs):
+        try:
+            return band_solve(A, b, **kwargs)
+        except NotPositiveDefiniteError:
+            retries.append(1)
+            raise
+
+    y = synth.simulate_model2(synth.default_params(2, n=300, b=0.0, sigma=1.0, seed=0)).values
+    problem = _mixed_dual(y, 0.1 * lambda_max(y, 1), 0.1 * lambda_max(y, 2))
+    monkeypatch.setattr(ipm, "band_solve", counted_solve)
+    ours = solve_box_qp(problem)
+    monkeypatch.undo()
+    assert retries and ours.converged
+    assert _bits(ours) == _bits(reference_solve_box_qp(problem))
+
+    # the iteration cap: the same unconverged iterate
+    problem = _seeded_problem(2, 400, 0)
+    monkeypatch.setattr(ipm, "MAX_ITER", 5)
+    ours = solve_box_qp(problem)
+    assert not ours.converged and ours.iterations == 5
+    assert _bits(ours) == _bits(reference_solve_box_qp(problem))
