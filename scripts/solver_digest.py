@@ -25,7 +25,10 @@ text, and how many Python warnings it raised. The commands cover every
 filter kind and weight selection, calibrate, the four simulated models,
 every backtest trend model, backtests that ruin the strategy or overflow its
 wealth or whose rate is -1, config files, and each usage (1), data (2) and
-numerical (3) exit.
+numerical (3) exit. Each command passes only flags its filter kind or
+backtest model reads, except the usage errors for a flag it does not read,
+a second weight selection, and cross-validation windows without --auto,
+given as flags or in a config file.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -208,8 +211,9 @@ def _cli_inputs() -> dict:
         "noequals.cfg": "kind l1t\n",
         "calibrate.cfg": "t1 = 60\nt2 = 15\nm = 3\np = 3\nn-grid = 4\norder = 1\n",
         "simulate.cfg": "model = 2\nn = 120\nseed = 3\nout = sim.csv\n",
-        "backtest.cfg": "model = hp\nvol_window = 20\nt2 = 15\nt3 = 30\n"
-                        "cv_m = 2\ncv_p = 2\nn_grid = 4\nrate = 0.0001\n",
+        "backtest.cfg": "model = hp\nvol_window = 20\nt3 = 30\nrate = 0.0001\n",
+        "filter-unread.cfg": "kind = l1t\nstandardize = true\nlambda = 1\n",
+        "backtest-unread.cfg": "model = ma\nn_grid = 3\n",
         "backtest-t1.cfg": "model = ma\nt1 = 60\n",
     }
 
@@ -218,6 +222,7 @@ def _cli_cases():
     cv = ["--t1", "60", "--t2", "15", "--m", "3", "--p", "3", "--n-grid", "4"]
     trade = ["--vol-window", "20", "--t2", "15", "--t3", "30",
              "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]
+    linear = ["--vol-window", "20", "--t3", "30"]  # what ma and hp read of trade
     walk, panel = ["filter", "walk.csv"], ["filter", "panel.csv", "--kind", "l1t-multi"]
     yield "filter-default-kind", [*walk, "--lambda", "50"]
     yield "filter-l1t-zero", [*walk, "--kind", "l1t", "--lambda", "0"]
@@ -248,6 +253,9 @@ def _cli_cases():
     yield "filter-no-weight", walk
     yield "filter-l1tc-one-weight", [*walk, "--kind", "l1tc", "--lambda1", "1"]
     yield "filter-hp-auto", [*walk, "--kind", "hp", "--auto"]
+    yield "filter-l1t-order", [*walk, "--kind", "l1t", "--order", "1", "--lambda", "1"]
+    yield "filter-two-weights", [*walk, "--lambda", "1", "--lambda-max-fraction", "0.5"]
+    yield "filter-windows-without-auto", [*walk, "--lambda", "1", "--t1", "60"]
     yield "filter-unknown-kind", [*walk, "--kind", "wavelet"]
     yield "filter-bad-number", [*walk, "--lambda", "abc"]
     yield "filter-bad-order", [*walk, "--kind", "hp", "--order", "3", "--lambda", "1"]
@@ -294,22 +302,24 @@ def _cli_cases():
     yield "simulate-bad-params", ["simulate", "--p", "1.5"]
 
     for model in TREND_MODELS:
-        yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model, *trade]
+        yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model,
+                                    *(linear if model in ("ma", "hp") else trade)]
     yield "backtest-rates", ["backtest", "prices.csv", "--model", "ma", "--rates",
-                             "rates.csv", *trade]
+                             "rates.csv", *linear]
     yield "backtest-options", ["backtest", "prices.csv", "--model", "hp", "--rate", "1e-4",
                                "--risk-aversion", "2", "--alpha-min", "0", "--alpha-max",
-                               "0.5", *trade]
+                               "0.5", *linear]
     yield "backtest-hp-lambda", ["backtest", "prices.csv", "--model", "hp", "--hp-lambda",
-                                 "500", *trade]
+                                 "500", *linear]
     yield "backtest-short", ["backtest", "short.csv"]
     yield "backtest-ma-short", ["backtest", "short.csv", "--model", "ma"]
     yield "backtest-rates-other-dates", ["backtest", "prices.csv", "--model", "ma", "--rates",
-                                         "rates-late.csv", *trade]
+                                         "rates-late.csv", *linear]
     yield "backtest-rate-and-rates", ["backtest", "prices.csv", "--model", "ma", "--rate",
-                                      "0.5", "--rates", "rates.csv", *trade]
+                                      "0.5", "--rates", "rates.csv", *linear]
     ma = ["--model", "ma", "--t3", "20", "--vol-window", "20"]
     yield "backtest-ma-local-windows-unread", ["backtest", "prices.csv", *ma, "--t2", "0"]
+    yield "backtest-ma-n-grid", ["backtest", "prices.csv", "--model", "ma", "--n-grid", "3"]
     yield "backtest-t1-flag", ["backtest", "prices.csv", *ma, "--t1", "60"]
     yield "backtest-ruin", ["backtest", "ruin.csv", *ma]
     yield "backtest-ruin-last-day", ["backtest", "ruin-last.csv", *ma]
@@ -318,10 +328,10 @@ def _cli_cases():
                                  "--alpha-max", "0"]
     yield "backtest-alpha-nan", ["backtest", "prices.csv", *ma, "--alpha-min", "nan"]
     yield "backtest-risk-aversion-0", ["backtest", "prices.csv", *ma, "--risk-aversion", "0"]
-    # the last --t3 wins over the one in trade
+    # the last --t3 wins over the one in trade or linear
     yield "backtest-l1-local-t3-1", ["backtest", "prices.csv", "--model", "l1-local", *trade,
                                      "--t3", "1"]
-    yield "backtest-hp-window-2", ["backtest", "prices.csv", "--model", "hp", *trade,
+    yield "backtest-hp-window-2", ["backtest", "prices.csv", "--model", "hp", *linear,
                                    "--t3", "2"]
     yield "backtest-l1-global-t3-2", ["backtest", "prices.csv", "--model", "l1-global",
                                       *trade, "--t3", "2"]
@@ -344,6 +354,9 @@ def _cli_cases():
     yield "config-simulate", ["simulate", "--config", "simulate.cfg"]
     yield "config-backtest", ["backtest", "prices.csv", "--config", "backtest.cfg"]
     yield "config-backtest-t1", ["backtest", "prices.csv", "--config", "backtest-t1.cfg"]
+    yield "config-filter-unread", [*walk, "--config", "filter-unread.cfg"]
+    yield "config-backtest-unread", ["backtest", "prices.csv", "--config",
+                                     "backtest-unread.cfg"]
     yield "config-unknown-key", [*walk, "--config", "unknown.cfg"]
     yield "config-switch-no", [*walk, "--config", "no.cfg"]
     yield "config-bad-number", [*walk, "--config", "abc.cfg"]

@@ -9,7 +9,8 @@ command's own parser. A key is a long flag name (``n_grid`` or ``n-grid``
 for ``--n-grid``; ``lam`` also names ``--lambda``) and its value is parsed
 as that flag parses it; ``true`` and ``false`` turn a switch on and off.
 Explicit flags win over the file. A flag given neither way is not passed
-on, so the library's own default applies.
+on, so the library's own default applies; one that the ``filter`` kind or
+``backtest`` model does not read (``READS``) is a usage error either way.
 """
 
 from __future__ import annotations
@@ -168,6 +169,28 @@ def load_config(path) -> list:
     return tokens
 
 
+_WEIGHTS = ("lam", "lambda_max_fraction", "auto")  # filter reads one of them
+_WINDOWS = ("T1", "T2", "m", "p", "n_grid")  # filter reads them with --auto only
+_L1 = {"column", *_WEIGHTS, *_WINDOWS}
+_TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window",
+          "T3"}
+_CV_TRADE = _TRADE | {"T2", "cv_m", "cv_p", "n_grid"}
+_SHARED = {"command", "func", "input", "out", "report", "config"}  # every variant's
+READS = {  # command -> (the flag picking its variant, {variant: the other flags it reads})
+    "filter": ("kind", {"l1t": _L1, "l1c": _L1, "l1t-multi": _L1 - {"column"} | {"standardize"},
+                        "hp": {"column", "lam", "lambda_max_fraction", "order"},
+                        "l1tc": {"column", "lambda1", "lambda2"}}),
+    "backtest": ("trend_model", {"ma": _TRADE, "hp": _TRADE, "l1-local": _CV_TRADE,
+                                 "l1-global": _CV_TRADE, "l1-two-trend": _CV_TRADE}),
+}
+
+
+def _option(dest: str) -> str:
+    """The flag that sets ``dest``: T1 is --t1, n_grid --n-grid, lam --lambda."""
+    name = {"lam": "lambda", "trend_model": "model"}.get(dest, dest)
+    return "--" + name.lower().replace("_", "-")
+
+
 def _given(cls, args) -> dict:
     """The fields of dataclass ``cls`` that the flags or the config file set."""
     return {f.name: args[f.name] for f in fields(cls) if f.name in args}
@@ -179,45 +202,40 @@ def _out_path(args, key, input_path, suffix):
 
 
 def _resolve_lambda(values, order, args):
-    """Penalty weight from --lambda, --lambda-max-fraction, or --auto."""
+    """Penalty weight from --lambda, --lambda-max-fraction, or --auto: the one given."""
     if "lam" in args:
         return args["lam"], {"selection": "explicit"}
     if "lambda_max_fraction" in args:
-        fraction = args["lambda_max_fraction"]
-        ceiling = calibration.lambda_max(values, order)
-        return fraction * ceiling, {
-            "selection": "lambda-max-fraction",
-            "lambda_max": ceiling,
-            "fraction": fraction,
-        }
-    if args.get("auto"):
-        # --order is the hp filter's; the kind fixes the order cross-validated
-        cfg = calibration.CVConfig(**{**_given(calibration.CVConfig, args), "order": order})
+        fraction, ceiling = args["lambda_max_fraction"], calibration.lambda_max(values, order)
+        return fraction * ceiling, {"selection": "lambda-max-fraction",
+                                    "lambda_max": ceiling, "fraction": fraction}
+    if "auto" in args:
+        cfg = calibration.CVConfig(**_given(calibration.CVConfig, args), order=order)
         report = calibration.cv_filter(values, cfg)
-        return report.lambda_star, {
-            "selection": "cross-validation",
-            "grid": report.grid,
-            "errors": report.errors,
-        }
+        return report.lambda_star, {"selection": "cross-validation",
+                                    "grid": report.grid, "errors": report.errors}
     raise UsageError("give --lambda, --lambda-max-fraction, or --auto")
 
 
 def cmd_filter(args) -> int:
     kind = args["kind"]
     input_path = args["input"]
-
-    order = {"l1t": 2, "l1t-multi": 2, "l1c": 1, "l1tc": 2, "hp": args["order"]}[kind]
+    weights = [_option(d) for d in _WEIGHTS if d in args]
+    if len(weights) > 1:
+        raise UsageError(f"--kind {kind} takes one weight, got {' and '.join(weights)}")
+    if "auto" not in args and (windows := [_option(d) for d in _WINDOWS if d in args]):
+        raise UsageError(f"--kind {kind} reads {', '.join(windows)} only with --auto")
+    order = args.get("order", 1 if kind == "l1c" else 2)  # only hp reads --order
     if kind == "l1t-multi":
         times, columns = read_table(input_path)
         names = sorted(columns)
-        rows = [columns[name] for name in names]
-        standardize = args.get("standardize", False)
-        if standardize:
-            for name in names:
-                if np.ptp(columns[name]) == 0:  # its std may round to 1e-17
-                    raise DataError(f"column {name!r} is constant; cannot standardize")
-        # a zero weight returns the (standardized) cross-sectional mean unsolved
-        observed = filters.l1t_multivariate(rows, 0.0, standardize=standardize).observed
+        try:  # a zero weight returns the (standardized) cross-sectional mean unsolved
+            observed = filters.l1t_multivariate([columns[name] for name in names], 0.0,
+                                                standardize="standardize" in args).observed
+        except DataError as exc:  # name the constant row's column
+            if not hasattr(exc, "series"):
+                raise
+            raise DataError(f"column {names[exc.series]!r} is constant; cannot standardize")
     else:
         series = ingest_csv(input_path, column=args.get("column"))
         times, observed = series.times, series.values
@@ -227,12 +245,12 @@ def cmd_filter(args) -> int:
             raise UsageError("l1tc needs both --lambda1 and --lambda2")
         lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
         result = filters.l1tc_filter(observed, *lam)
+        breaks = {f"breaks_order{k}": filters.detect_breaks(result, k) for k in (1, 2)}
     else:
-        if kind == "hp" and args.get("auto"):
-            raise UsageError("--auto cross-validates the L1 filters; give --lambda for hp")
         lam, selection = _resolve_lambda(observed, order, args)
         fit = filters.hp_filter if kind == "hp" else filters.l1_filter
         result = fit(observed, lam, order=order)
+        breaks = {"breaks": filters.detect_breaks(result, order)}
 
     diag = result.diagnostics
     document = {
@@ -244,12 +262,8 @@ def cmd_filter(args) -> int:
         "iterations": diag.iterations if diag else 0,
         "duality_gap": diag.duality_gap if diag else 0.0,
         "kkt_residual": diag.kkt_residual if diag else 0.0,
+        **breaks,
     }
-    if kind == "l1tc":
-        document["breaks_order1"] = filters.detect_breaks(result, 1)
-        document["breaks_order2"] = filters.detect_breaks(result, 2)
-    else:
-        document["breaks"] = filters.detect_breaks(result, order)
     out_path = _out_path(args, "out", input_path, ".trend.csv")
     write_csv(out_path, times, [("observed", observed), ("trend", result.trend)])
     write_report(_out_path(args, "report", input_path, ".filter-report.json"), document)
@@ -334,7 +348,7 @@ def cmd_backtest(args) -> int:
 def _flags(sub, cast, *names):
     """One flag per config field, named after it: T1 as --t1, n_grid as --n-grid."""
     for name in names:
-        sub.add_argument("--" + name.lower().replace("_", "-"), dest=name, type=cast)
+        sub.add_argument(_option(name), dest=name, type=cast)
 
 
 def build_parser() -> _Parser:
@@ -356,8 +370,7 @@ def build_parser() -> _Parser:
     f.add_argument("--lambda2", type=float)
     f.add_argument("--lambda-max-fraction", type=float)
     f.add_argument("--auto", action="store_true", help="pick lambda by cross-validation")
-    f.add_argument("--order", type=int, choices=[1, 2], default=2,
-                   help="difference order for --kind hp")
+    f.add_argument("--order", type=int, choices=[1, 2], help="difference order for --kind hp")
     f.add_argument("--column")
     f.add_argument("--standardize", action="store_true")
     _flags(f, int, "T1", "T2", "m", "p", "n_grid")
@@ -401,6 +414,12 @@ def main(argv=None) -> int:
         args = vars(parser.parse_args(argv))
         if "config" in args:  # the file's flags go first, so explicit ones win
             args = vars(parser.parse_args(argv[:1] + load_config(args["config"]) + argv[1:]))
+        if args["command"] in READS:
+            key, reads = READS[args["command"]]
+            variant = args.get(key, strategy.StrategyConfig().trend_model)  # --kind has a default
+            unread = [_option(d) for d in args if d not in _SHARED | {key} | reads[variant]]
+            if unread:
+                raise UsageError(f"{_option(key)} {variant} does not read {', '.join(unread)}")
         return args.pop("func")(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -192,8 +192,9 @@ def l1t_multivariate(ys, lam: float, standardize: bool = False) -> FilterResult:
         # a constant row's std can round to 1e-17, and a non-constant one's to 0
         flat = (np.ptp(data, axis=1) == 0) | (stds == 0)
         if np.any(flat):
-            bad = int(np.flatnonzero(flat)[0])
-            raise DataError(f"series {bad} is constant; cannot standardize")
+            error = DataError(f"series {int(np.argmax(flat))} is constant; cannot standardize")
+            error.series = int(np.argmax(flat))  # the row, for a caller that names it
+            raise error
         data = (data - data.mean(axis=1)[:, None]) / stds[:, None]
     return l1_filter(data.mean(axis=0), lam, order=2)
 

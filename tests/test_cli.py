@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from trendkit import ipm, strategy
+from trendkit import cli, ipm, strategy
 from trendkit.calibration import CVConfig, lambda_max
 from trendkit.cli import (
     EXIT_DATA,
@@ -292,6 +292,21 @@ class TestFilterCommand:
                 "data error: column 'flat' is constant; cannot standardize\n"
             assert not (tmp_path / "panel.trend.csv").exists()
 
+    def test_multivariate_underflowing_column_is_named(self, tmp_path, capsys):
+        # the range of [0, 5e-324, 0, ...] is not 0, but its standard deviation
+        # underflows to 0; the column sorts first, the second given
+        f = tmp_path / "panel.csv"
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(10))
+        write_lines(f, ["date,z,tiny", *(f"{i},{float(v)!r},{5e-324 if i == 1 else 0.0!r}"
+                                          for i, v in enumerate(walk))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["filter", str(f), "--kind", "l1t-multi", "--standardize",
+                         "--lambda", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: column 'tiny' is constant; cannot standardize\n"
+        assert not (tmp_path / "panel.trend.csv").exists()
+
     def test_numeric_config_value_names_a_column(self, tmp_path):
         f = tmp_path / "years.csv"
         write_csv(f, np.arange(30), [("2020", np.arange(30.0)), ("2021", np.ones(30))])
@@ -413,9 +428,7 @@ class TestBacktestCommand:
     def test_constant_prices_flat_wealth(self, tmp_path):
         f = self.make_prices(tmp_path)
         assert main([
-            "backtest", str(f), "--model", "ma", "--vol-window", "20",
-            "--t2", "15", "--t3", "30",
-            "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
+            "backtest", str(f), "--model", "ma", "--vol-window", "20", "--t3", "30",
         ]) == EXIT_OK
         _, cols = read_table(tmp_path / "prices.wealth.csv")
         np.testing.assert_array_equal(cols["wealth"], np.ones(len(cols["wealth"])))
@@ -447,9 +460,7 @@ class TestBacktestCommand:
         values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(400)))
         write_csv(f, np.arange(400), [("value", values)])
         assert main([
-            "backtest", str(f), "--model", "ma", "--vol-window", "20",
-            "--t2", "15", "--t3", "30",
-            "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
+            "backtest", str(f), "--model", "ma", "--vol-window", "20", "--t3", "30",
         ]) == EXIT_OK
         report = json.loads((tmp_path / "p.backtest-report.json").read_text())
         wealth = ingest_csv(tmp_path / "p.wealth.csv", column="wealth")
@@ -465,9 +476,7 @@ class TestBacktestCommand:
         values = 100.0 * np.exp(0.001 * np.arange(350))
         write_csv(f, np.arange(350), [("value", values)])
         assert main([
-            "backtest", str(f), "--model", "hp", "--vol-window", "20",
-            "--t2", "15", "--t3", "30",
-            "--cv-m", "2", "--cv-p", "2", "--n-grid", "4",
+            "backtest", str(f), "--model", "hp", "--vol-window", "20", "--t3", "30",
         ]) == EXIT_OK
         report = json.loads((tmp_path / "up.backtest-report.json").read_text())
         assert report["stats"]["performance_pct"] > 0
@@ -500,25 +509,25 @@ class TestBacktestCommand:
         assert capsys.readouterr().err == \
             "data error: model 'ma' needs at least 22 samples, got 15\n"
 
-    @pytest.mark.parametrize("model, code", [
-        ("ma", EXIT_OK), ("hp", EXIT_OK),
-        ("l1-local", EXIT_USAGE), ("l1-global", EXIT_USAGE), ("l1-two-trend", EXIT_USAGE),
+    @pytest.mark.parametrize("model, reads_t2", [
+        ("ma", 0), ("hp", 0), ("l1-local", 1), ("l1-global", 1), ("l1-two-trend", 1),
     ])
     def test_only_l1_models_read_the_local_windows(self, tmp_path, capsys, monkeypatch,
-                                                   model, code):
+                                                   model, reads_t2):
         def no_cv_config(**kw):
             raise AssertionError(f"CVConfig built for {model!r}")
 
-        if code == EXIT_OK:
+        if not reads_t2:
             monkeypatch.setattr(strategy, "CVConfig", no_cv_config)
         f = self.make_prices(tmp_path, n=60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t3", "20", "--t2", "0"]) == code
-        if code == EXIT_USAGE:
-            assert capsys.readouterr().err == "usage error: T2 must be at least 1, got 0\n"
-            assert not (tmp_path / "prices.wealth.csv").exists()
+                         "--t3", "20", "--t2", "0"]) == EXIT_USAGE
+        message = "T2 must be at least 1, got 0" if reads_t2 else \
+            f"--model {model} does not read --t2"
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "prices.wealth.csv").exists()
 
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     def test_l1_models_name_a_zero_long_window(self, tmp_path, capsys, model):
@@ -641,14 +650,15 @@ class TestBacktestCommand:
         assert "give --rate or --rates, not both" in capsys.readouterr().err
         assert not (tmp_path / "prices.wealth.csv").exists()
 
-    @pytest.mark.parametrize("model", ["ma", "l1-local"])
-    def test_models_without_an_hp_weight_accept_t3_of_1(self, tmp_path, model):
+    @pytest.mark.parametrize("model, windows", [
+        ("ma", []), ("l1-local", ["--t2", "15", "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]),
+    ], ids=["ma", "l1-local"])
+    def test_models_without_an_hp_weight_accept_t3_of_1(self, tmp_path, model, windows):
         f = self.make_prices(tmp_path, n=120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t2", "15", "--cv-m", "2", "--cv-p", "2",
-                         "--n-grid", "4", "--t3", "1"]) == EXIT_OK
+                         *windows, "--t3", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize("t3", ["0", "1", "2"])
     def test_short_hp_window_is_usage_error(self, tmp_path, capsys, monkeypatch, t3):
@@ -676,11 +686,12 @@ class TestBacktestCommand:
         f = tmp_path / "p.csv"
         log_p = np.cumsum(0.01 * np.random.default_rng(4).standard_normal(300))
         write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
+        windows = [] if model in ("ma", "hp") else ["--t2", "15", "--cv-m", "2", "--cv-p", "2",
+                                                    "--n-grid", "4"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t2", "15", "--cv-m", "2", "--cv-p", "2",
-                         "--n-grid", "4", "--t3", "20", *flags]) == EXIT_USAGE
+                         *windows, "--t3", "20", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "p.wealth.csv").exists()
 
@@ -886,22 +897,106 @@ def test_huge_weight_is_numerical_failure(tmp_path, capsys, weights, message):
     assert not (tmp_path / "walk.trend.csv").exists()
 
 
-def test_cv_config_fields_are_the_calibrate_geometry_flags():
+def _subparser(command):
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in commands.choices["calibrate"]._actions}
+    return commands.choices[command]
+
+
+def test_cv_config_fields_are_the_calibrate_geometry_flags():
+    dests = {a.dest for a in _subparser("calibrate")._actions}
     io = {"help", "input", "column", "report", "errors_out", "config"}
     assert dests - io == {f.name for f in fields(CVConfig)}
     assert io <= dests
 
 
 def test_strategy_config_fields_are_the_backtest_flags():
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in commands.choices["backtest"]._actions}
+    dests = {a.dest for a in _subparser("backtest")._actions}
     io = {"help", "input", "rate", "rates", "column", "out", "report", "config"}
     assert dests - io == {f.name for f in fields(StrategyConfig)}
     assert io <= dests
+
+
+@pytest.mark.parametrize("command", ["filter", "backtest"])
+def test_every_flag_is_in_the_table_for_every_variant(command):
+    """Each flag is read by some variant or by all (``_SHARED``), the table has
+    one entry per variant and names only flags the parser has, and each
+    message names a flag as the user types it."""
+    actions = {a.dest: a for a in _subparser(command)._actions if a.dest != "help"}
+    key, reads = cli.READS[command]
+    assert set(reads) == set(actions[key].choices)
+    assert set().union(*reads.values()) | cli._SHARED | {key} == {*actions, "command", "func"}
+    for dest, action in actions.items():
+        if action.option_strings:
+            assert cli._option(dest) == action.option_strings[0]
+
+
+def _flag_cases():
+    """(command line, flags that may go to --config instead, message) of every
+    flag a variant does not read, a second weight, and windows without --auto."""
+    weights = {"l1t": ["--lambda", "1"], "l1c": ["--lambda", "1"], "hp": ["--lambda", "1"],
+               "l1t-multi": ["--lambda", "1"], "l1tc": ["--lambda1", "1", "--lambda2", "1"]}
+    windows = [["--t1", "40"], ["--t2", "10"], ["--m", "2"], ["--p", "2"], ["--n-grid", "3"]]
+    unread = {
+        "l1t": [["--standardize"], ["--order", "1"], ["--lambda1", "1"], ["--lambda2", "1"]],
+        "l1c": [["--standardize"], ["--order", "2"], ["--lambda1", "1"], ["--lambda2", "1"]],
+        "hp": [["--standardize"], ["--lambda1", "1"], ["--lambda2", "1"], ["--auto"],
+               *windows],
+        "l1t-multi": [["--order", "2"], ["--lambda1", "1"], ["--lambda2", "1"],
+                      ["--column", "value"]],
+        "l1tc": [["--standardize"], ["--order", "1"], ["--lambda", "1"],
+                 ["--lambda-max-fraction", "0.5"], ["--auto"], *windows],
+    }
+    def case(argv, extra, message):
+        return pytest.param(argv, extra, message, id=" ".join([argv[0], *extra, *argv[2:]]))
+
+    for kind, flags in unread.items():
+        for flag in flags:
+            yield case(["filter", "in.csv", *weights[kind]], ["--kind", kind, *flag],
+                       f"--kind {kind} does not read {flag[0]}")
+    lam, fraction, auto = ["--lambda", "1"], ["--lambda-max-fraction", "0.5"], ["--auto"]
+    for kind in ("l1t", "l1c", "l1t-multi", "hp"):
+        pairs = [(lam, fraction)] + ([(lam, auto), (fraction, auto)] if kind != "hp" else [])
+        for first, second in pairs:
+            yield case(["filter", "in.csv"], ["--kind", kind, *first, *second],
+                       f"--kind {kind} takes one weight, got {first[0]} and {second[0]}")
+    for kind in ("l1t", "l1c", "l1t-multi"):
+        for window in windows:
+            yield case(["filter", "in.csv", *lam], ["--kind", kind, *window],
+                       f"--kind {kind} reads {window[0]} only with --auto")
+    for model in ("ma", "hp"):
+        for flag in (["--t2", "10"], ["--cv-m", "2"], ["--cv-p", "2"], ["--n-grid", "3"]):
+            yield case(["backtest", "in.csv", "--t3", "20"], ["--model", model, *flag],
+                       f"--model {model} does not read {flag[0]}")
+
+
+def _config_lines(flags):
+    """``key = value`` lines for flags, ``true`` for a switch."""
+    lines, i = [], 0
+    while i < len(flags):
+        has_value = i + 1 < len(flags) and not flags[i + 1].startswith("--")
+        lines.append(f"{flags[i][2:]} = {flags[i + 1] if has_value else 'true'}")
+        i += 2 if has_value else 1
+    return lines
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("argv, extra, message", list(_flag_cases()))
+def test_unread_flag_is_usage_error_before_any_input(tmp_path, capsys, monkeypatch, argv,
+                                                     extra, message, via_config):
+    def no_input(*args, **kw):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "read_table", no_input)
+    monkeypatch.chdir(tmp_path)
+    if via_config:  # the variant and the flag both come from the file
+        write_lines(tmp_path / "x.cfg", _config_lines(extra))
+        extra = ["--config", "x.cfg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, *extra]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["x.cfg"] if via_config else [])
 
 
 def test_unknown_command_is_usage_error():

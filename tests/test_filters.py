@@ -241,14 +241,17 @@ class TestMultivariate:
             l1t_multivariate([], 1.0)
 
     def test_constant_series_cannot_standardize(self):
-        with pytest.raises(DataError, match="^series 0 is constant; cannot standardize$"):
+        with pytest.raises(DataError, match="^series 0 is constant; cannot standardize$") as info:
             l1t_multivariate([np.ones(10), np.arange(10.0)], 1.0, standardize=True)
+        assert info.value.series == 0  # the row, so a caller can name it
         # std rounds to 5.6e-17 on a constant row and to 0 on a subnormal step
         for row in (np.full(10, 0.3), np.r_[0.0, 5e-324, np.zeros(8)]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(DataError, match="^series 1 is constant; cannot standardize$"):
+                with pytest.raises(DataError,
+                                   match="^series 1 is constant; cannot standardize$") as info:
                     l1t_multivariate([np.arange(10.0), row], 1.0, standardize=True)
+            assert info.value.series == 1
 
 
 class TestDetectBreaks:

@@ -61,8 +61,7 @@ commands = [
      "--lambda-max-fraction", "0.05"],
     ["calibrate", "sim.csv", "--column", "observed", "--t1", "60", "--t2", "15",
      "--m", "3", "--p", "3", "--n-grid", "4"],
-    ["backtest", "prices.csv", "--model", "hp", "--vol-window", "20", "--t2", "15",
-     "--t3", "30"],
+    ["backtest", "prices.csv", "--model", "hp", "--vol-window", "20", "--t3", "30"],
 ]
 codes = [cli.main(argv) for argv in commands]
 modules = sorted(sys.modules)
