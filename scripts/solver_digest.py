@@ -25,10 +25,12 @@ text, and how many Python warnings it raised. The commands cover every
 filter kind and weight selection, calibrate, the four simulated models,
 every backtest trend model, backtests that ruin the strategy or overflow its
 wealth or whose rate is -1, config files, and each usage (1), data (2) and
-numerical (3) exit. Each command passes only flags its filter kind or
-backtest model reads, except the usage errors for a flag it does not read,
-a second weight selection, and cross-validation windows without --auto,
-given as flags or in a config file.
+numerical (3) exit: among them calibrate on model-1 input scaled by 1e150,
+whose first solve stalls in its line search, and by 1e300, whose weight grid
+overflows. Each command passes only flags its filter kind or backtest model
+reads, except the usage errors for a flag it does not read, a second weight
+selection, cross-validation windows without --auto, given as flags or in a
+config file, and a config file that names another.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -169,6 +171,7 @@ def _cli_inputs() -> dict:
     walk = np.cumsum(rng.standard_normal(260))
     drift = 0.01 * rng.standard_normal(400) + 0.0005
     _, model1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=0))
+    _, model1_s1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=1))
     index_rng = np.random.default_rng(0)  # index levels: about 1200, moves about 12
     prices = 100 * np.exp(np.cumsum(drift))
     fall, rise = 100 * np.exp(-0.002 * np.arange(400)), 100 * np.exp(0.002 * np.arange(400))
@@ -178,6 +181,8 @@ def _cli_inputs() -> dict:
         "index.csv": _csv(value=1200 + np.cumsum(12 * index_rng.standard_normal(1008))),
         "reference.csv": _csv(value=model1),
         "reference-huge.csv": _csv(value=1e152 * model1),  # its weight grid overflows
+        "reference-s1-x1e150.csv": _csv(value=1e150 * model1_s1),
+        "reference-s1-x1e300.csv": _csv(value=1e300 * model1_s1),
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
                           c=0.2 * np.cumsum(rng.standard_normal(120)) - 3),
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
@@ -215,6 +220,8 @@ def _cli_inputs() -> dict:
         "filter-unread.cfg": "kind = l1t\nstandardize = true\nlambda = 1\n",
         "backtest-unread.cfg": "model = ma\nn_grid = 3\n",
         "backtest-t1.cfg": "model = ma\nt1 = 60\n",
+        "nested.cfg": "config = lambda.cfg\n",  # a config file that names another
+        "lambda.cfg": "lambda = 1\n",
     }
 
 
@@ -291,6 +298,8 @@ def _cli_cases():
     yield "calibrate-bad-windows", ["calibrate", "walk.csv", "--t1", "10", "--t2", "15"]
     yield "calibrate-t2-2", ["calibrate", "walk.csv", "--t1", "10", "--t2", "2"]
     yield "calibrate-overflow", ["calibrate", "reference-huge.csv"]
+    yield "calibrate-stalled-x1e150", ["calibrate", "reference-s1-x1e150.csv"]
+    yield "calibrate-overflow-x1e300", ["calibrate", "reference-s1-x1e300.csv"]
 
     for model in (1, 2, 3, 4):
         yield f"simulate-model{model}", ["simulate", "--model", str(model), "--n", "300",
@@ -362,6 +371,7 @@ def _cli_cases():
     yield "config-bad-number", [*walk, "--config", "abc.cfg"]
     yield "config-no-equals", [*walk, "--config", "noequals.cfg"]
     yield "config-missing", [*walk, "--config", "nope.cfg"]
+    yield "config-names-config", [*walk, "--config", "nested.cfg"]
 
 
 def _run_cli(argv, inputs) -> str:

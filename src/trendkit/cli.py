@@ -8,9 +8,10 @@ An optional ``--config`` file holds ``key = value`` lines, read by the
 command's own parser. A key is a long flag name (``n_grid`` or ``n-grid``
 for ``--n-grid``; ``lam`` also names ``--lambda``) and its value is parsed
 as that flag parses it; ``true`` and ``false`` turn a switch on and off.
-Explicit flags win over the file. A flag given neither way is not passed
-on, so the library's own default applies; one that the ``filter`` kind or
-``backtest`` model does not read (``READS``) is a usage error either way.
+Explicit flags win over the file, which must not name another. A flag given
+neither way is not passed on, so the library's own default applies; one that
+the ``filter`` kind or ``backtest`` model does not read (``READS``) is a usage
+error either way.
 """
 
 from __future__ import annotations
@@ -162,6 +163,8 @@ def load_config(path) -> list:
             raise UsageError(f"{path}: line {line_no}: expected 'key = value'")
         key, _, value = (part.strip() for part in stripped.partition("="))
         flag = "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+        if flag == "--config":  # the command line's own --config would win over it
+            raise UsageError(f"{path}: line {line_no}: a config file cannot name another")
         if value.lower() == "true":
             tokens.append(flag)
         elif value.lower() != "false":

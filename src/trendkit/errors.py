@@ -24,7 +24,7 @@ class NotPositiveDefiniteError(NumericalError):
 class ConvergenceError(NumericalError):
     """Iterative solver broke down or failed to reach tolerance.
 
-    Carries the solver's last diagnostics when available.
+    Carries the failed solve's record (its last iterate) as ``diagnostics``.
     """
 
     def __init__(self, message, diagnostics=None):

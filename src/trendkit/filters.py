@@ -86,8 +86,9 @@ def _l1_fit(values: np.ndarray, weights: dict):
     Returns the trend, each order's dual block (zeros where lam_k = 0) and
     the certificate, which is None when no weight is active and the fit is
     y itself. Order 1 alone is solved exactly by :func:`tv_denoise`; any
-    other set of active orders is one box QP for :func:`solve_box_qp`. A
-    certificate that misses ``ipm.TOL`` raises :class:`ConvergenceError` here.
+    other set of active orders is one box QP for :func:`solve_box_qp`. Every
+    L1 solve that misses ``ipm.TOL`` raises :class:`ConvergenceError` here,
+    with the solve's message and its record as ``diagnostics``.
     """
     ops = {order: diff_operator(order, len(values)) for order in weights}
     duals = {order: np.zeros(op.rows) for order, op in ops.items()}
@@ -96,10 +97,11 @@ def _l1_fit(values: np.ndarray, weights: dict):
         return values.copy(), duals, None
     # D y of the data: the QP's linear term, and on every path the overflow check
     rows = [ops[order].apply(values) for order in active]
-    direct = list(active) == [1]
-    if direct:
+    if list(active) == [1]:
         trend, duals[1], gap, residual = tv_denoise(values, active[1])
-        solution = IpmSolution(duals[1], 0, gap, residual, gap <= ipm.TOL)
+        failure = (None if gap <= ipm.TOL else
+                   f"direct order-1 solve left duality gap {gap:.3e} above {ipm.TOL:g}")
+        solution = IpmSolution(duals[1], 0, gap, residual, failure)
     else:
         upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]
         problem = BoxQP(gram_banded(*(ops[order] for order in active)),
@@ -110,13 +112,7 @@ def _l1_fit(values: np.ndarray, weights: dict):
             duals[order] = solution.nu_star[k::len(active)]
             trend = trend - ops[order].apply_transpose(duals[order])
     if not solution.converged:
-        raise ConvergenceError(
-            f"direct order-1 solve left duality gap {solution.duality_gap:.3e} above {ipm.TOL:g}"
-            if direct else
-            f"interior-point solver stopped after {solution.iterations} iterations "
-            f"with duality gap {solution.duality_gap:.3e}",
-            diagnostics=solution,
-        )
+        raise ConvergenceError(solution.failure, diagnostics=solution)
     return trend, duals, solution
 
 

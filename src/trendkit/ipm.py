@@ -14,15 +14,15 @@ cap keeps every iterate strictly inside the box.
 
 Each solve allocates its buffers once: the iterate and a trial point,
 swapped when the line search accepts it, and the direction. Each point is
-evaluated once, with its one product Q nu. A non-finite Newton system (a
-slack rounded to zero) or duality gap (box bounds near the float limit)
-raises :class:`ConvergenceError`.
+evaluated once, with its one product Q nu. Every solve returns its last
+accepted iterate, and ``failure`` says why a solve stopped short of ``TOL``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -105,8 +105,12 @@ class IpmSolution:
     iterations: int
     duality_gap: float
     kkt_residual: float
-    converged: bool
+    failure: Optional[str]  # how the solve stopped short of TOL; None once converged
     gap_history: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 def initial_state(problem: BoxQP) -> IpmState:
@@ -171,22 +175,22 @@ def newton_step(problem: BoxQP, state: IpmState, res: np.ndarray, out=None):
 
 
 def solve_box_qp(problem: BoxQP) -> IpmSolution:
-    """Minimize the box QP until its gap and dual residual reach ``TOL``."""
+    """Minimize the box QP until its gap and dual residual reach ``TOL``, or fail."""
     tol, max_iter = TOL, MAX_ITER  # read per call, so a test can patch them
     # Once a slack rounds to zero the Newton system is non-finite, and once
-    # the gap overflows the barrier is undefined: either way the loop raises
-    # ConvergenceError, and numpy's warnings would only repeat that.
+    # the gap overflows the barrier is undefined: either way the solve fails,
+    # and numpy's warnings would only repeat that.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p, m = problem.dim, 2 * problem.dim
         state, trial, dz = initial_state(problem), IpmState(p), np.empty(4 * p)
-        iterations, gaps = 0, [surrogate_gap(state)]
-        tau = MU_MULT * m / gaps[0]
+        iterations, gaps, failure = 0, [surrogate_gap(state)], None
+        tau = MU_MULT * m / np.float64(gaps[0])  # a start gap of inf: 1 / tau is inf, no raise
 
         while True:
             eta = gaps[-1]
             if not math.isfinite(eta):
-                raise ConvergenceError(f"non-finite duality gap {eta:g} "
-                                       f"after {iterations} iterations")
+                failure = f"non-finite duality gap {eta:g} after {iterations} iterations"
+                break
             converged = eta <= tol and float(np.max(np.abs(state.r_dual))) <= tol
             if converged or iterations >= max_iter:
                 break
@@ -195,9 +199,12 @@ def solve_box_qp(problem: BoxQP) -> IpmSolution:
             res = residual(state, tau)
             try:
                 newton_step(problem, state, res, dz)
-            except ValueError as exc:  # band_solve's finiteness check
-                raise ConvergenceError(f"non-finite Newton system in iteration "
-                                       f"{iterations + 1}") from exc
+            except ValueError:  # band_solve's finiteness check
+                failure = f"non-finite Newton system in iteration {iterations + 1}"
+                break
+            except ConvergenceError as exc:  # singular after every jitter
+                failure = str(exc)
+                break
 
             base_norm = math.sqrt(res.dot(res))  # np.linalg.norm's own sum
             # Largest step keeping ms = [mu, s] positive: -(ms / dz) at the
@@ -229,5 +236,8 @@ def solve_box_qp(problem: BoxQP) -> IpmSolution:
             iterations += 1
             gaps.append(surrogate_gap(state))
 
+        if failure is None and not converged:  # the iteration cap or a stalled line search
+            failure = (f"interior-point solver stopped after {iterations} iterations "
+                       f"with duality gap {eta:.3e}")
         kkt = float(np.max(np.abs(residual(state, tau))))
-        return IpmSolution(state.nu, iterations, eta, kkt, converged, np.asarray(gaps))
+        return IpmSolution(state.nu, iterations, eta, kkt, failure, np.asarray(gaps))

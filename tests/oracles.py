@@ -264,6 +264,7 @@ def reference_solve_box_qp(problem):
             iterations=iterations,
             duality_gap=eta,
             kkt_residual=float(np.max(np.abs(_reference_residual(state, tau)))),
-            converged=converged,
+            failure=None if converged else (f"interior-point solver stopped after "
+                                            f"{iterations} iterations with duality gap {eta:.3e}"),
             gap_history=np.asarray(gaps),
         )

@@ -257,6 +257,18 @@ class TestFilterCommand:
         write_lines(cfg, ["far_out = 1"])
         assert main(["filter", str(f), "--config", str(cfg)]) == EXIT_USAGE
 
+    def test_config_naming_another_config_rejected(self, tmp_path, capsys, monkeypatch):
+        # the command line's own --config would win, so b.cfg would go unread
+        monkeypatch.chdir(tmp_path)
+        f = self.make_input(tmp_path)
+        write_lines(tmp_path / "a.cfg", ["config = b.cfg"])
+        write_lines(tmp_path / "b.cfg", ["lambda = 1"])
+        before = sorted(tmp_path.iterdir())
+        assert main(["filter", str(f), "--config", "a.cfg"]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "usage error: a.cfg: line 1: a config file cannot name another\n"
+        assert sorted(tmp_path.iterdir()) == before  # no file written
+
     def test_multivariate_ceiling_fraction_uses_standardized_mean(self, tmp_path):
         rng = np.random.default_rng(5)
         f = tmp_path / "panel.csv"

@@ -8,7 +8,7 @@ from trendkit import ipm, synth
 from trendkit.banded import BandedSymMatrix, diff_operator, gram_banded, interleave
 from trendkit.calibration import lambda_max
 from trendkit.errors import ConvergenceError, NotPositiveDefiniteError
-from trendkit.filters import l1tc_filter
+from trendkit.filters import l1_filter, l1tc_filter
 from trendkit.ipm import (
     BoxQP,
     IpmState,
@@ -19,6 +19,7 @@ from trendkit.ipm import (
     surrogate_gap,
 )
 
+import oracles
 from oracles import box_qp_bruteforce, dense_banded, reference_solve_box_qp, residual_jacobian
 
 
@@ -228,30 +229,6 @@ def _order1_dual_x1000():
     return BoxQP(gram_banded(op), op.apply(y), np.full(op.rows, 0.1 * lambda_max(y, 1)))
 
 
-def test_nonfinite_newton_system_is_convergence_error():
-    with pytest.raises(ConvergenceError, match="non-finite Newton system"), \
-            np.errstate(divide="ignore", invalid="ignore"):
-        solve_box_qp(_order1_dual_x1000())
-
-
-def test_nonfinite_newton_system_fails_without_warnings():
-    # the solver silences numpy's floating-point warnings itself, so the
-    # typed failure is all a caller sees, even with warnings as errors
-    problem = _order1_dual_x1000()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="non-finite Newton system"):
-            solve_box_qp(problem)
-
-def test_overflowing_gap_is_convergence_error():
-    # bounds of 1e308 make the starting gap 2p * 1e308 = inf: no barrier weight
-    problem = _identity_problem([1.0, -1.0], [1e308, 1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="^non-finite duality gap inf after 0 "):
-            solve_box_qp(problem)
-
-
 def test_jitter_retries_leave_no_reference_cycles(monkeypatch):
     # An exception kept across the retries held the Newton step's frame by
     # its traceback, pinning the iterate's arrays until a collector pass.
@@ -326,16 +303,7 @@ def test_iterates_match_the_reference_loop_bit_for_bit(bandwidth, n):
         assert _bits(solve_box_qp(problem)) == _bits(reference_solve_box_qp(problem))
 
 
-def test_failures_match_the_reference_loop(monkeypatch):
-    # a slack rounds to zero: the same message, naming the same iteration
-    problem = _order1_dual_x1000()
-    with pytest.raises(ConvergenceError) as ours:
-        solve_box_qp(problem)
-    with pytest.raises(ConvergenceError) as reference:
-        reference_solve_box_qp(problem)
-    assert str(ours.value) == str(reference.value)
-    assert "non-finite Newton system in iteration" in str(ours.value)
-
+def test_jitter_retries_match_the_reference_loop(monkeypatch):
     # a singular mixed system that retries with jitter on the way
     retries = []
     band_solve = ipm.band_solve
@@ -355,9 +323,73 @@ def test_failures_match_the_reference_loop(monkeypatch):
     assert retries and ours.converged
     assert _bits(ours) == _bits(reference_solve_box_qp(problem))
 
-    # the iteration cap: the same unconverged iterate
+
+def _always_singular(A, b, **kwargs):
+    raise NotPositiveDefiniteError("band Cholesky failed: always")
+
+
+def _reference_outcome(problem):
+    """The reference loop's record, or the message it raised."""
+    try:
+        return reference_solve_box_qp(problem)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("end", ["cap", "stall", "nonfinite-system", "nonfinite-gap",
+                                 "singular"])
+def test_every_end_returns_the_last_accepted_iterate(monkeypatch, end):
     problem = _seeded_problem(2, 400, 0)
-    monkeypatch.setattr(ipm, "MAX_ITER", 5)
-    ours = solve_box_qp(problem)
-    assert not ours.converged and ours.iterations == 5
-    assert _bits(ours) == _bits(reference_solve_box_qp(problem))
+    if end == "cap":
+        monkeypatch.setattr(ipm, "MAX_ITER", 5)
+    elif end == "stall":  # no trial step reaches it: both loops read it per trial
+        monkeypatch.setattr(ipm, "MIN_STEP", 1.5)
+    elif end == "nonfinite-system":
+        problem = _order1_dual_x1000()
+    elif end == "nonfinite-gap":  # the starting gap 2p * 1e308 is inf: no barrier weight
+        problem = _identity_problem([1.0, -1.0], [1e308, 1e308])
+    else:
+        monkeypatch.setattr(ipm, "band_solve", _always_singular)
+        monkeypatch.setattr(oracles, "band_solve", _always_singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning escapes the solve
+        ours = solve_box_qp(problem)
+    assert not ours.converged
+    stopped = (f"interior-point solver stopped after {ours.iterations} iterations "
+               f"with duality gap {ours.duality_gap:.3e}")
+    assert ours.failure == {
+        "cap": stopped, "stall": stopped,
+        "nonfinite-system": f"non-finite Newton system in iteration {ours.iterations + 1}",
+        "nonfinite-gap": "non-finite duality gap inf after 0 iterations",
+        "singular": "singular Newton system: band Cholesky failed: always",
+    }[end]
+    assert ours.iterations == {"cap": 5, "nonfinite-system": 26}.get(end, 0)
+
+    # the reference loop ends the same way: with the same record, or raising
+    # the same message where it raises
+    whole = _reference_outcome(problem)
+    if isinstance(whole, str):
+        assert whole == ours.failure
+    else:
+        assert whole.failure == ours.failure and _bits(whole) == _bits(ours)
+    # and its iterate after as many iterations is the record's; the one loop
+    # that cannot return it fails on its starting gap, before the cap
+    monkeypatch.setattr(ipm, "MAX_ITER", ours.iterations)
+    upto = _reference_outcome(problem)
+    if isinstance(upto, str):
+        assert end == "nonfinite-gap" and upto == ours.failure
+    else:
+        # all but the KKT residual, which a failed Newton step takes at the next tau
+        assert _bits(upto)[:3] + _bits(upto)[5:] == _bits(ours)[:3] + _bits(ours)[5:]
+
+
+def test_l1_failure_carries_its_record():
+    # the digest's x1000 order-2 walk at n = 400: a slack rounds to zero
+    y = 1e3 * np.cumsum(np.random.default_rng(0).standard_normal(400))
+    with warnings.catch_warnings(), pytest.raises(ConvergenceError) as info:
+        warnings.simplefilter("error")
+        l1_filter(y, 0.1 * lambda_max(y, 2))
+    assert str(info.value) == "non-finite Newton system in iteration 23"
+    record = info.value.diagnostics
+    assert record.failure == str(info.value) and record.iterations == 22
+    assert len(record.gap_history) == 23 and np.isfinite(record.nu_star).all()
