@@ -27,10 +27,13 @@ every backtest trend model, backtests that ruin the strategy or overflow its
 wealth or whose rate is -1, config files, and each usage (1), data (2) and
 numerical (3) exit: among them calibrate on model-1 input scaled by 1e150,
 whose first solve stalls in its line search, and by 1e300, whose weight grid
-overflows. Each command passes only flags its filter kind or backtest model
-reads, except the usage errors for a flag it does not read, a second weight
-selection, cross-validation windows without --auto, given as flags or in a
-config file, and a config file that names another.
+overflows, and the l1c filter of 300 model-1 samples scaled by 1e153, whose
+exact order-1 gap overflows. Each command passes only flags its filter kind
+or backtest model reads (a backtest model its own windows), except the usage
+errors for a flag it does not read, a second weight selection,
+cross-validation windows without --auto, given as flags or in a config file,
+a config file that names another, and a backtest whose window is too short
+for its model, which is reported before its missing input is read.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -142,7 +145,8 @@ def _multivariate_cases():
 
 def _cv_cases():
     reference = CVConfig()
-    l1_global = StrategyConfig().cv_configs()[1]  # the l1-global backtest's geometry
+    # the l1-global backtest's geometry: the last one its config builds
+    l1_global = StrategyConfig(trend_model="l1-global").cv_configs()[-1]
     for seed in CV_SEEDS:
         _, observed = synth.simulate_model1(synth.default_params(1, n=1008, seed=seed))
         walk = synth.simulate_model2(synth.default_params(
@@ -172,6 +176,7 @@ def _cli_inputs() -> dict:
     drift = 0.01 * rng.standard_normal(400) + 0.0005
     _, model1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=0))
     _, model1_s1 = synth.simulate_model1(synth.default_params(1, n=1008, seed=1))
+    _, model1_s1_n300 = synth.simulate_model1(synth.default_params(1, n=300, seed=1))
     index_rng = np.random.default_rng(0)  # index levels: about 1200, moves about 12
     prices = 100 * np.exp(np.cumsum(drift))
     fall, rise = 100 * np.exp(-0.002 * np.arange(400)), 100 * np.exp(0.002 * np.arange(400))
@@ -183,6 +188,7 @@ def _cli_inputs() -> dict:
         "reference-huge.csv": _csv(value=1e152 * model1),  # its weight grid overflows
         "reference-s1-x1e150.csv": _csv(value=1e150 * model1_s1),
         "reference-s1-x1e300.csv": _csv(value=1e300 * model1_s1),
+        "model1-s1-n300-x1e153.csv": _csv(value=1e153 * model1_s1_n300),
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
                           c=0.2 * np.cumsum(rng.standard_normal(120)) - 3),
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
@@ -227,9 +233,11 @@ def _cli_inputs() -> dict:
 
 def _cli_cases():
     cv = ["--t1", "60", "--t2", "15", "--m", "3", "--p", "3", "--n-grid", "4"]
-    trade = ["--vol-window", "20", "--t2", "15", "--t3", "30",
-             "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]
-    linear = ["--vol-window", "20", "--t3", "30"]  # what ma and hp read of trade
+    grid = ["--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]  # what the L1 models read
+    linear = ["--vol-window", "20", "--t3", "30"]  # ma, hp and l1-global read T3
+    local = ["--vol-window", "20", "--t2", "15"]  # l1-local reads T2, l1-two-trend both
+    reads = {"ma": linear, "hp": linear, "l1-local": [*local, *grid],
+             "l1-global": [*linear, *grid], "l1-two-trend": [*local, "--t3", "30", *grid]}
     walk, panel = ["filter", "walk.csv"], ["filter", "panel.csv", "--kind", "l1t-multi"]
     yield "filter-default-kind", [*walk, "--lambda", "50"]
     yield "filter-l1t-zero", [*walk, "--kind", "l1t", "--lambda", "0"]
@@ -289,6 +297,8 @@ def _cli_cases():
     yield "filter-index-level", ["filter", "index.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
     yield "filter-l1t-huge-weight", [*walk, "--kind", "l1t", "--lambda", "1e308"]
+    yield "filter-l1c-x1e153", ["filter", "model1-s1-n300-x1e153.csv", "--kind", "l1c",
+                                "--lambda-max-fraction", "0.1"]
     yield "filter-hp-huge-weight", [*walk, "--kind", "hp", "--lambda", "1e308"]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
@@ -311,8 +321,7 @@ def _cli_cases():
     yield "simulate-bad-params", ["simulate", "--p", "1.5"]
 
     for model in TREND_MODELS:
-        yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model,
-                                    *(linear if model in ("ma", "hp") else trade)]
+        yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model, *reads[model]]
     yield "backtest-rates", ["backtest", "prices.csv", "--model", "ma", "--rates",
                              "rates.csv", *linear]
     yield "backtest-options", ["backtest", "prices.csv", "--model", "hp", "--rate", "1e-4",
@@ -337,13 +346,17 @@ def _cli_cases():
                                  "--alpha-max", "0"]
     yield "backtest-alpha-nan", ["backtest", "prices.csv", *ma, "--alpha-min", "nan"]
     yield "backtest-risk-aversion-0", ["backtest", "prices.csv", *ma, "--risk-aversion", "0"]
-    # the last --t3 wins over the one in trade or linear
-    yield "backtest-l1-local-t3-1", ["backtest", "prices.csv", "--model", "l1-local", *trade,
-                                     "--t3", "1"]
+    yield "backtest-l1-local-t3-unread", ["backtest", "prices.csv", "--model", "l1-local",
+                                          *reads["l1-local"], "--t3", "1"]
+    yield "backtest-l1-global-t2-unread", ["backtest", "prices.csv", "--model", "l1-global",
+                                           *reads["l1-global"], "--t2", "15"]
+    # the last --t3 wins over the one in linear
     yield "backtest-hp-window-2", ["backtest", "prices.csv", "--model", "hp", *linear,
                                    "--t3", "2"]
     yield "backtest-l1-global-t3-2", ["backtest", "prices.csv", "--model", "l1-global",
-                                      *trade, "--t3", "2"]
+                                      *reads["l1-global"], "--t3", "2"]
+    yield "backtest-missing-hp-window-2", ["backtest", "nope.csv", "--model", "hp",
+                                           "--t3", "2"]
     yield "backtest-rate-nan", ["backtest", "prices.csv", *ma, "--rate", "nan"]
     yield "backtest-rate-minus-1", ["backtest", "flat400.csv", *ma, "--rate", "-1"]
     yield "backtest-rates-minus-1", ["backtest", "flat400.csv", *ma, "--rates",

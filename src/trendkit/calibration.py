@@ -52,9 +52,9 @@ SPECTRAL_RATIO = 10.27
 class CVConfig:
     """Window geometry for rolling cross-validation.
 
-    T1 is the training width, T2 the test/forecast width. m test windows
-    feed the grid bounds; p training folds score each grid point; the grid
-    has n_grid geometric points.
+    T1 is the training width, T2 the test/forecast width, longer than the
+    filter order. m test windows feed the grid bounds; p training folds
+    score each grid point; the grid has n_grid geometric points.
     """
 
     T1: int = 400
@@ -73,6 +73,9 @@ class CVConfig:
             raise ValueError("m and p must be at least 1")
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
+        if self.T2 <= self.order:  # no differences in a test window to bound the grid
+            raise ValueError(f"test window T2={self.T2} must be longer than the "
+                             f"filter order {self.order}")
 
     @property
     def min_history(self) -> int:
@@ -234,13 +237,8 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     pool of forked workers, one per CPU the process may use, in about
     CHUNKS_PER_WORKER contiguous chunks each, when they repay the round
     trips. The report, and the first failure, are the one-process loop's.
-    Ceilings too large for a finite grid are a NumericalError, and a test
-    window no longer than the order, which has no differences to bound the
-    grid, a ValueError.
+    Ceilings too large for a finite grid are a NumericalError.
     """
-    if cfg.T2 <= cfg.order:
-        raise ValueError(f"test window T2={cfg.T2} must be longer than the "
-                         f"filter order {cfg.order}")
     values = as_values(y)
     n = len(values)
     if n < cfg.min_history:

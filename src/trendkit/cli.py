@@ -175,16 +175,15 @@ def load_config(path) -> list:
 _WEIGHTS = ("lam", "lambda_max_fraction", "auto")  # filter reads one of them
 _WINDOWS = ("T1", "T2", "m", "p", "n_grid")  # filter reads them with --auto only
 _L1 = {"column", *_WEIGHTS, *_WINDOWS}
-_TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window",
-          "T3"}
-_CV_TRADE = _TRADE | {"T2", "cv_m", "cv_p", "n_grid"}
+_TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window"}
 _SHARED = {"command", "func", "input", "out", "report", "config"}  # every variant's
 READS = {  # command -> (the flag picking its variant, {variant: the other flags it reads})
     "filter": ("kind", {"l1t": _L1, "l1c": _L1, "l1t-multi": _L1 - {"column"} | {"standardize"},
                         "hp": {"column", "lam", "lambda_max_fraction", "order"},
                         "l1tc": {"column", "lambda1", "lambda2"}}),
-    "backtest": ("trend_model", {"ma": _TRADE, "hp": _TRADE, "l1-local": _CV_TRADE,
-                                 "l1-global": _CV_TRADE, "l1-two-trend": _CV_TRADE}),
+    "backtest": ("trend_model", {  # the allocation rule, the model's windows, an L1 grid
+        m: _TRADE | {*w, *(("cv_m", "cv_p", "n_grid") if m in strategy.L1_MODELS else ())}
+        for m, w in strategy.TREND_WINDOWS.items()}),
 }
 
 
@@ -204,17 +203,16 @@ def _out_path(args, key, input_path, suffix):
     return Path(given) if given else Path(input_path).with_suffix(suffix)
 
 
-def _resolve_lambda(values, order, args):
-    """Penalty weight from --lambda, --lambda-max-fraction, or --auto: the one given."""
+def _resolve_lambda(values, order, args, cv):
+    """Penalty weight from --lambda, --lambda-max-fraction, or --auto at geometry cv."""
     if "lam" in args:
         return args["lam"], {"selection": "explicit"}
     if "lambda_max_fraction" in args:
         fraction, ceiling = args["lambda_max_fraction"], calibration.lambda_max(values, order)
         return fraction * ceiling, {"selection": "lambda-max-fraction",
                                     "lambda_max": ceiling, "fraction": fraction}
-    if "auto" in args:
-        cfg = calibration.CVConfig(**_given(calibration.CVConfig, args), order=order)
-        report = calibration.cv_filter(values, cfg)
+    if cv is not None:
+        report = calibration.cv_filter(values, cv)
         return report.lambda_star, {"selection": "cross-validation",
                                     "grid": report.grid, "errors": report.errors}
     raise UsageError("give --lambda, --lambda-max-fraction, or --auto")
@@ -229,6 +227,8 @@ def cmd_filter(args) -> int:
     if "auto" not in args and (windows := [_option(d) for d in _WINDOWS if d in args]):
         raise UsageError(f"--kind {kind} reads {', '.join(windows)} only with --auto")
     order = args.get("order", 1 if kind == "l1c" else 2)  # only hp reads --order
+    cv = calibration.CVConfig(**_given(calibration.CVConfig, args), order=order) \
+        if "auto" in args else None  # checked before any input is read
     if kind == "l1t-multi":
         times, columns = read_table(input_path)
         names = sorted(columns)
@@ -250,7 +250,7 @@ def cmd_filter(args) -> int:
         result = filters.l1tc_filter(observed, *lam)
         breaks = {f"breaks_order{k}": filters.detect_breaks(result, k) for k in (1, 2)}
     else:
-        lam, selection = _resolve_lambda(observed, order, args)
+        lam, selection = _resolve_lambda(observed, order, args, cv)
         fit = filters.hp_filter if kind == "hp" else filters.l1_filter
         result = fit(observed, lam, order=order)
         breaks = {"breaks": filters.detect_breaks(result, order)}
@@ -276,8 +276,8 @@ def cmd_filter(args) -> int:
 
 def cmd_calibrate(args) -> int:
     input_path = args["input"]
-    series = ingest_csv(input_path, column=args.get("column"))
     cfg = calibration.CVConfig(**_given(calibration.CVConfig, args))
+    series = ingest_csv(input_path, column=args.get("column"))
     report = calibration.cv_filter(series.values, cfg)
 
     errors_path = _out_path(args, "errors_out", input_path, ".cv-errors.csv")
@@ -314,13 +314,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_backtest(args) -> int:
     input_path = args["input"]
-    prices = ingest_csv(input_path, column=args.get("column"))
     if "rate" in args and "rates" in args:
         raise UsageError("give --rate or --rates, not both")
+    cfg = strategy.StrategyConfig(**_given(strategy.StrategyConfig, args))
+    prices = ingest_csv(input_path, column=args.get("column"))
     rates = {"rates": args["rate"]} if "rate" in args else {}
     if args.get("rates"):
         rates["rates"] = ingest_csv(args["rates"])
-    cfg = strategy.StrategyConfig(**_given(strategy.StrategyConfig, args))
     report = strategy.run_backtest(prices, cfg=cfg, **rates)
 
     out_path = _out_path(args, "out", input_path, ".wealth.csv")
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
             args = vars(parser.parse_args(argv[:1] + load_config(args["config"]) + argv[1:]))
         if args["command"] in READS:
             key, reads = READS[args["command"]]
-            variant = args.get(key, strategy.StrategyConfig().trend_model)  # --kind has a default
+            variant = args.get(key, strategy.StrategyConfig.trend_model)  # --kind has a default
             unread = [_option(d) for d in args if d not in _SHARED | {key} | reads[variant]]
             if unread:
                 raise UsageError(f"{_option(key)} {variant} does not read {', '.join(unread)}")

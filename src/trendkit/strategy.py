@@ -12,11 +12,11 @@ checked before the model is built. The moving average and the quadratic
 filter, at the weight spectrally matched to T3, are linear in the last T3 log
 prices; each drift path is computed once.
 
-The L1 models fit daily, and only they read the cross-validation windows:
-a local horizon (test T2) and a global one (test T3), each trained on four
-times its test width; ``l1-two-trend`` switches between the two. Each day a
-horizon's weight is cross-validated on the history to date and its trailing
-training window is filtered at that weight.
+The L1 models fit daily: ``l1-local`` a local horizon (test T2), ``l1-global``
+a global one (test T3), each trained on four times its test width, and
+``l1-two-trend`` both, switching between them (``TREND_WINDOWS`` names each
+model's windows). Each day a horizon's weight is cross-validated on the history
+to date and its trailing training window is filtered at that weight.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ __all__ = [
     "TwoTrendPrediction",
     "PerformanceStats",
     "BacktestReport",
+    "TREND_WINDOWS",
     "TREND_MODELS",
+    "L1_MODELS",
     "moving_average_trend",
     "realized_vol",
     "optimal_allocation",
@@ -47,7 +49,12 @@ __all__ = [
     "performance_stats",
 ]
 
-TREND_MODELS = ("ma", "hp", "l1-local", "l1-global", "l1-two-trend")
+# model -> {each StrategyConfig window it reads: its least width}. An L1 test width
+# must exceed the filter order 2, and the hp slope weights need three samples.
+TREND_WINDOWS = {"ma": {"T3": 1}, "hp": {"T3": 3}, "l1-local": {"T2": 3},
+                 "l1-global": {"T3": 3}, "l1-two-trend": {"T2": 3, "T3": 3}}
+TREND_MODELS = tuple(TREND_WINDOWS)
+L1_MODELS = tuple(m for m in TREND_MODELS if m.startswith("l1-"))
 
 TRADING_DAYS_PER_YEAR = 260
 VARIANCE_FLOOR = 1e-10
@@ -89,21 +96,23 @@ class StrategyConfig:
             raise ValueError("alpha_min must not exceed alpha_max")
         if self.vol_window < 2:
             raise ValueError(f"vol_window must be at least 2, got {self.vol_window}")
+        for name, least in TREND_WINDOWS[self.trend_model].items():
+            if (width := getattr(self, name)) < least:
+                raise ValueError(f"the {self.trend_model} window {name} must be at least "
+                                 f"{least}, got {width}")
+        self.cv_configs()  # and the cross-validation geometry's own rules
 
     @property
     def hp_window(self) -> int:  # the quadratic filter's window
         return self.T3
 
-    def cv_configs(self) -> tuple[CVConfig, CVConfig]:
-        """Cross-validation geometries of the local horizon (test T2) and the
-        global one (test T3), each training on four times its test width. A
-        test width below 1 is a ``ValueError`` that names it."""
-        widths = {"T2": self.T2, "T3": self.T3}
-        for name, w in widths.items():
-            if w < 1:
-                raise ValueError(f"{name} must be at least 1, got {w}")
-        return tuple(CVConfig(T1=4 * w, T2=w, m=self.cv_m, p=self.cv_p,
-                              n_grid=self.n_grid, order=2) for w in widths.values())
+    def cv_configs(self) -> tuple:
+        """Cross-validation geometries of the windows an L1 model reads, the
+        local horizon (test T2) first, each training on four times its test
+        width; none for ``ma`` and ``hp``."""
+        windows = TREND_WINDOWS[self.trend_model] if self.trend_model in L1_MODELS else {}
+        return tuple(CVConfig(T1=4 * w, T2=w, m=self.cv_m, p=self.cv_p, n_grid=self.n_grid,
+                              order=2) for w in (getattr(self, name) for name in windows))
 
 
 @dataclass(frozen=True)
@@ -244,19 +253,13 @@ def predict_two_trend(y, local: CVConfig, long: CVConfig) -> TwoTrendPrediction:
     )
 
 
-def _horizons(cfg: StrategyConfig) -> tuple:
-    """The cross-validation geometries an L1 model reads."""
-    local, long = cfg.cv_configs()
-    return {"l1-local": (local,), "l1-global": (long,)}.get(cfg.trend_model, (local, long))
-
-
 def _first_day(cfg: StrategyConfig) -> int:
     """First date the trend model can estimate, from the config alone."""
     if cfg.trend_model == "ma":
         return cfg.T3
     if cfg.trend_model == "hp":
         return cfg.T3 - 1
-    return max(cv.min_history for cv in _horizons(cfg)) - 1
+    return max(cv.min_history for cv in cfg.cv_configs()) - 1
 
 
 def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
@@ -270,8 +273,6 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         # = (A^{-1}c)'y for c = e_T - e_{T-1}, as A = I + 2 lam D'D is
         # symmetric: one filtered weight vector serves every window.
         window = cfg.T3
-        if window < 3:
-            raise ValueError(f"the hp window T3 must be at least 3, got {window}")
         slope = np.concatenate([np.zeros(window - 2), [-1.0, 1.0]])
         try:
             weights = hp_filter(slope, hp_lambda_for_window(window), order=2).trend
@@ -287,7 +288,7 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         mu_path[window - 1:] = windows @ weights
         return mu_path.__getitem__
 
-    horizons = _horizons(cfg)
+    horizons = cfg.cv_configs()
     if len(horizons) == 1:
         return lambda t: _last_slope(_cv_fit(log_p[:t + 1], *horizons).trend)
     return lambda t: _last_slope(predict_two_trend(log_p[:t + 1], *horizons).prediction)

@@ -45,7 +45,8 @@ def tv_denoise(y: np.ndarray, lam: float):
     x, nu = _fit(y, lam, ends, signs)
     error = y - x + np.diff(nu, prepend=0.0, append=0.0)  # y - x - D'nu
     dx = np.diff(x)
-    gap = 0.5 * float(error @ error) + float(np.sum(lam * np.abs(dx) - nu * dx))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge input's gap is not finite
+        gap = 0.5 * float(error @ error) + float(np.sum(lam * np.abs(dx) - nu * dx))
     return x, nu, gap, float(np.max(np.abs(error)))
 
 

@@ -345,7 +345,8 @@ def test_criterion_10_reference_configuration():
         "cv defaults n_grid=15": cv.n_grid == 15,
         "strategy T2=130": strat.T2 == 130,
         "strategy T3=520": strat.T3 == 520,
-        "strategy local T1=520": strat.cv_configs()[0].T1 == 520,
+        "strategy local T1=520":
+            StrategyConfig(trend_model="l1-two-trend").cv_configs()[0].T1 == 520,
         "README documents calibrate command": "trendkit calibrate" in text,
         "README documents backtest command": "trendkit backtest" in text,
         "README states reference lambda 7.03": "7.03" in text,

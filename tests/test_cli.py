@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import warnings
 from dataclasses import asdict, fields
 
@@ -19,7 +20,8 @@ from trendkit.cli import (
     read_table,
     write_csv,
 )
-from trendkit.errors import DataError
+from trendkit.errors import ConvergenceError, DataError
+from trendkit.filters import l1_filter
 from trendkit.strategy import StrategyConfig, performance_stats
 from trendkit.synth import default_params, simulate_model1
 
@@ -522,49 +524,58 @@ class TestBacktestCommand:
             "data error: model 'ma' needs at least 22 samples, got 15\n"
 
     @pytest.mark.parametrize("model, reads_t2", [
-        ("ma", 0), ("hp", 0), ("l1-local", 1), ("l1-global", 1), ("l1-two-trend", 1),
+        ("ma", 0), ("hp", 0), ("l1-local", 1), ("l1-global", 0), ("l1-two-trend", 1),
     ])
     def test_only_l1_models_read_the_local_windows(self, tmp_path, capsys, monkeypatch,
                                                    model, reads_t2):
         def no_cv_config(**kw):
             raise AssertionError(f"CVConfig built for {model!r}")
 
-        if not reads_t2:
+        if model not in strategy.L1_MODELS:
             monkeypatch.setattr(strategy, "CVConfig", no_cv_config)
         f = self.make_prices(tmp_path, n=60)
+        t3 = ["--t3", "20"] if "T3" in strategy.TREND_WINDOWS[model] else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t3", "20", "--t2", "0"]) == EXIT_USAGE
-        message = "T2 must be at least 1, got 0" if reads_t2 else \
+                         *t3, "--t2", "0"]) == EXIT_USAGE
+        message = f"the {model} window T2 must be at least 3, got 0" if reads_t2 else \
             f"--model {model} does not read --t2"
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "prices.wealth.csv").exists()
 
-    @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
-    def test_l1_models_name_a_zero_long_window(self, tmp_path, capsys, model):
+    @pytest.mark.parametrize("model, message", [
+        ("l1-local", "--model l1-local does not read --t3"),
+        ("l1-global", "the l1-global window T3 must be at least 3, got 0"),
+        ("l1-two-trend", "the l1-two-trend window T3 must be at least 3, got 0"),
+    ], ids=["l1-local", "l1-global", "l1-two-trend"])
+    def test_l1_models_name_a_zero_long_window(self, tmp_path, capsys, model, message):
         f = self.make_prices(tmp_path, n=60)
+        t2 = ["--t2", "5"] if "T2" in strategy.TREND_WINDOWS[model] else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         "--t2", "5", "--t3", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "usage error: T3 must be at least 1, got 0\n"
+                         *t2, "--t3", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == [f]
 
-    @pytest.mark.parametrize("flags, t2", [
-        (["--model", "l1-global", "--t3", "1"], 1),
-        (["--model", "l1-global", "--t3", "2"], 2),
-        (["--model", "l1-two-trend", "--t2", "10", "--t3", "2", "--vol-window", "20"], 2),
-        (["--model", "l1-local", "--t2", "2", "--vol-window", "20"], 2),
+    @pytest.mark.parametrize("flags, window", [
+        (["--model", "l1-global", "--t3", "1"], ("l1-global", "T3", 1)),
+        (["--model", "l1-global", "--t3", "2"], ("l1-global", "T3", 2)),
+        (["--model", "l1-two-trend", "--t2", "10", "--t3", "2", "--vol-window", "20"],
+         ("l1-two-trend", "T3", 2)),
+        (["--model", "l1-local", "--t2", "2", "--vol-window", "20"], ("l1-local", "T2", 2)),
     ], ids=["global-t3-1", "global-t3-2", "two-trend-t3-2", "local-t2-2"])
     def test_test_window_no_longer_than_order_is_usage_error(self, tmp_path, capsys,
-                                                              flags, t2):
+                                                              flags, window):
+        # an L1 test width must exceed the order 2; the message names the flag set
+        model, name, width = window
         f = tmp_path / "p.csv"
         log_p = np.cumsum(0.01 * np.random.default_rng(5).standard_normal(300))
         write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
         assert main(["backtest", str(f), *flags]) == EXIT_USAGE
-        assert capsys.readouterr().err == (f"usage error: test window T2={t2} must be "
-                                           f"longer than the filter order 2\n")
+        assert capsys.readouterr().err == (f"usage error: the {model} window {name} must be "
+                                           f"at least 3, got {width}\n")
         assert not (tmp_path / "p.wealth.csv").exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
@@ -663,14 +674,16 @@ class TestBacktestCommand:
         assert not (tmp_path / "prices.wealth.csv").exists()
 
     @pytest.mark.parametrize("model, windows", [
-        ("ma", []), ("l1-local", ["--t2", "15", "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]),
+        ("ma", ["--t3", "1"]),
+        # l1-local reads no T3, so the default 520 asks for no long history
+        ("l1-local", ["--t2", "15", "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]),
     ], ids=["ma", "l1-local"])
     def test_models_without_an_hp_weight_accept_t3_of_1(self, tmp_path, model, windows):
         f = self.make_prices(tmp_path, n=120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         *windows, "--t3", "1"]) == EXIT_OK
+                         *windows]) == EXIT_OK
 
     @pytest.mark.parametrize("t3", ["0", "1", "2"])
     def test_short_hp_window_is_usage_error(self, tmp_path, capsys, monkeypatch, t3):
@@ -698,12 +711,12 @@ class TestBacktestCommand:
         f = tmp_path / "p.csv"
         log_p = np.cumsum(0.01 * np.random.default_rng(4).standard_normal(300))
         write_csv(f, np.arange(300), [("value", 100.0 * np.exp(log_p))])
-        windows = [] if model in ("ma", "hp") else ["--t2", "15", "--cv-m", "2", "--cv-p", "2",
-                                                    "--n-grid", "4"]
+        windows = ["--t3", "20"] if model in ("ma", "hp") else [
+            "--t2", "15", "--cv-m", "2", "--cv-p", "2", "--n-grid", "4"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["backtest", str(f), "--model", model, "--vol-window", "20",
-                         *windows, "--t3", "20", *flags]) == EXIT_USAGE
+                         *windows, *flags]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "p.wealth.csv").exists()
 
@@ -882,6 +895,26 @@ def test_series_too_short_for_order_is_data_error(tmp_path, capsys, weights):
     assert not (tmp_path / "two.trend.csv").exists()
 
 
+def test_overflowing_order1_gap_is_numerical_failure_without_warnings(tmp_path, capsys):
+    # the exact order-1 fit of a huge input has a gap that overflows to nan
+    _, observed = simulate_model1(default_params(1, n=300, seed=1))
+    y = 1e153 * observed
+    f = tmp_path / "huge.csv"
+    write_csv(f, np.arange(300), [("value", y)])
+    message = "direct order-1 solve left duality gap nan above 1e-08"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=f"^{message}$") as info:
+            l1_filter(y, 0.1 * lambda_max(y, 1), order=1)
+        record = info.value.diagnostics
+        assert (record.failure, record.iterations) == (message, 0)
+        assert math.isnan(record.duality_gap)
+        assert main(["filter", str(f), "--kind", "l1c",
+                     "--lambda-max-fraction", "0.1"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
 def test_overflowing_hp_solve_is_numerical_failure(tmp_path, capsys):
     f = tmp_path / "big.csv"
     write_lines(f, ["date,value", "0,1e308", "1,1e308", "2,1e308", "3,1e308"])
@@ -941,6 +974,13 @@ def test_every_flag_is_in_the_table_for_every_variant(command):
     for dest, action in actions.items():
         if action.option_strings:
             assert cli._option(dest) == action.option_strings[0]
+    if command == "backtest":  # the allocation rule, the model's windows, an L1 grid
+        trade = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max",
+                 "vol_window"}
+        grid = {"cv_m", "cv_p", "n_grid"}
+        assert reads == {"ma": trade | {"T3"}, "hp": trade | {"T3"},
+                         "l1-local": trade | {"T2"} | grid, "l1-global": trade | {"T3"} | grid,
+                         "l1-two-trend": trade | {"T2", "T3"} | grid}
 
 
 def _flag_cases():
@@ -980,6 +1020,9 @@ def _flag_cases():
         for flag in (["--t2", "10"], ["--cv-m", "2"], ["--cv-p", "2"], ["--n-grid", "3"]):
             yield case(["backtest", "in.csv", "--t3", "20"], ["--model", model, *flag],
                        f"--model {model} does not read {flag[0]}")
+    for model, flag in (("l1-local", ["--t3", "20"]), ("l1-global", ["--t2", "10"])):
+        yield case(["backtest", "in.csv"], ["--model", model, *flag],
+                   f"--model {model} does not read {flag[0]}")
 
 
 def _config_lines(flags):
@@ -1009,6 +1052,50 @@ def test_unread_flag_is_usage_error_before_any_input(tmp_path, capsys, monkeypat
         assert main([*argv, *extra]) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == (["x.cfg"] if via_config else [])
+
+
+def _no_input(*args, **kw):
+    raise AssertionError("input read")
+
+
+@pytest.mark.parametrize("model, name, least", [
+    pytest.param(model, name, least, id=f"{model}-{name}")
+    for model, windows in strategy.TREND_WINDOWS.items() for name, least in windows.items()])
+def test_each_window_below_its_least_width_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                          model, name, least):
+    message = f"the {model} window {name} must be at least {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StrategyConfig(trend_model=model, **{name: least - 1})
+    StrategyConfig(trend_model=model, **{name: least})
+    monkeypatch.setattr(cli, "read_table", _no_input)
+    monkeypatch.chdir(tmp_path)
+    argv = ["backtest", "in.csv", "--model", model, cli._option(name)]
+    assert main([*argv, str(least - 1)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    with pytest.raises(AssertionError, match="^input read$"):  # the config passed
+        main([*argv, str(least)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "in.csv", "--t2", "2"], "test window T2=2 must be longer than the filter "
+                                           "order 2"),
+    (["filter", "in.csv", "--auto", "--t2", "2"], "test window T2=2 must be longer than the "
+                                                  "filter order 2"),
+    (["backtest", "in.csv", "--model", "hp", "--t3", "2"],
+     "the hp window T3 must be at least 3, got 2"),
+    (["backtest", "in.csv", "--n-grid", "1"], "grid needs at least 2 points, got 1"),
+    (["backtest", "in.csv", "--rate", "0.1", "--rates", "r.csv"],
+     "give --rate or --rates, not both"),
+], ids=["calibrate-t2-2", "filter-auto-t2-2", "backtest-hp-t3-2", "backtest-n-grid-1",
+        "backtest-rate-and-rates"])
+def test_config_fault_is_usage_error_before_any_input(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    monkeypatch.setattr(cli, "read_table", _no_input)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_is_usage_error():

@@ -36,7 +36,7 @@ from trendkit.strategy import StrategyConfig
 from trendkit.synth import default_params, simulate_model1
 
 REFERENCE = CVConfig(T1=400, T2=50, m=12, p=12, n_grid=15)
-L1_GLOBAL = StrategyConfig().cv_configs()[1]
+(L1_GLOBAL,) = StrategyConfig(trend_model="l1-global").cv_configs()
 POOLED = CVConfig(T1=400, T2=50, m=4, p=8, n_grid=15)  # 120 solves
 
 

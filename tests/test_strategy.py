@@ -13,6 +13,7 @@ from trendkit.errors import DataError, InsufficientHistoryError, NumericalError
 from trendkit.filters import hp_filter
 from trendkit.series import Series
 from trendkit.strategy import (
+    TREND_WINDOWS,
     StrategyConfig,
     _first_day,
     _make_mu_estimator,
@@ -282,13 +283,11 @@ class TestRunBacktest:
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     def test_history_boundary(self, model):
         cfg = small_cfg(model)
-        local, glob = cfg.cv_configs()
-        assert (local.min_history, glob.min_history) == (90, 180)
-        need = {
-            "l1-local": local.min_history,
-            "l1-global": glob.min_history,
-            "l1-two-trend": max(local.min_history, glob.min_history),
-        }[model]
+        # the local horizon (test T2 = 15) needs 90 samples, the global (T3 = 30) 180
+        histories = [cv.min_history for cv in cfg.cv_configs()]
+        assert histories == {"l1-local": [90], "l1-global": [180],
+                             "l1-two-trend": [90, 180]}[model]
+        need = max(histories)
         start = max(need - 1, cfg.vol_window)
         log_p = np.cumsum(0.01 * np.random.default_rng(21).standard_normal(200))
         values = 100.0 * np.exp(log_p[:start + 2])
@@ -376,10 +375,16 @@ class TestRunBacktest:
     @pytest.mark.parametrize("model", ["l1-local", "l1-global", "l1-two-trend"])
     @pytest.mark.parametrize("T2", [0, -1])
     def test_l1_models_reject_bad_local_windows(self, model, T2):
-        with pytest.raises(ValueError, match=f"^T2 must be at least 1, got {T2}$"):
-            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T2=T2))
-        with pytest.raises(ValueError, match=f"^T3 must be at least 1, got {T2}$"):
-            run_backtest(exponential_prices(400), 0.0, small_cfg(model, T3=T2))
+        # each window the model reads is checked when its config is built;
+        # one it does not read is neither checked nor cross-validated
+        for name in ("T2", "T3"):
+            if name in TREND_WINDOWS[model]:
+                with pytest.raises(ValueError, match=f"^the {model} window {name} must be "
+                                                     f"at least 3, got {T2}$"):
+                    small_cfg(model, **{name: T2})
+            else:
+                cfg = small_cfg(model, **{name: T2})
+                assert [cv.T2 for cv in cfg.cv_configs()] == [15 if name == "T3" else 30]
 
     @pytest.mark.parametrize("model, need", [("ma", 22), ("hp", 21)])
     def test_short_linear_model_history_names_the_model(self, model, need):
@@ -507,12 +512,16 @@ def test_config_keeps_what_it_is_given():
     (15, 30, (60, 15), (120, 30)),
     (15, 15, (60, 15), (60, 15)),
     (40, 10, (160, 40), (40, 10)),
-    (1, 1, (4, 1), (4, 1)),
+    (3, 3, (12, 3), (12, 3)),
 ])
 def test_cv_configs_train_on_four_test_widths(T2, T3, local, long):
-    cfg = StrategyConfig(T2=T2, T3=T3, cv_m=4, cv_p=5, n_grid=6)
     shared = dict(m=4, p=5, n_grid=6, order=2)
-    assert cfg.cv_configs() == (CVConfig(*local, **shared), CVConfig(*long, **shared))
+    local, long = CVConfig(*local, **shared), CVConfig(*long, **shared)
+    expected = {"ma": (), "hp": (), "l1-local": (local,), "l1-global": (long,),
+                "l1-two-trend": (local, long)}  # only the windows each model reads
+    for model, geometries in expected.items():
+        cfg = StrategyConfig(trend_model=model, T2=T2, T3=T3, cv_m=4, cv_p=5, n_grid=6)
+        assert cfg.cv_configs() == geometries
 
 
 @pytest.mark.parametrize("risk_aversion", [0.0, -1.0, np.inf, np.nan])
