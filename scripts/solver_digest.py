@@ -27,13 +27,18 @@ every backtest trend model, backtests that ruin the strategy or overflow its
 wealth or whose rate is -1, config files, and each usage (1), data (2) and
 numerical (3) exit: among them calibrate on model-1 input scaled by 1e150,
 whose first solve stalls in its line search, and by 1e300, whose weight grid
-overflows, and the l1c filter of 300 model-1 samples scaled by 1e153, whose
-exact order-1 gap overflows. Each command passes only flags its filter kind
-or backtest model reads (a backtest model its own windows), except the usage
-errors for a flag it does not read, a second weight selection,
-cross-validation windows without --auto, given as flags or in a config file,
-a config file that names another, and a backtest whose window is too short
-for its model, which is reported before its missing input is read.
+overflows; the l1c filter of 300 model-1 samples scaled by 1e153, whose
+exact order-1 gap overflows; a walk scaled to 1e306, whose order-2 weight
+ceiling overflows, as does its order-1 ceiling times 1e300; order-1
+calibrate on 60 zeros then 1e200, whose squared forecast errors overflow;
+a CSV that is not UTF-8; and an empty --rates path. Each command passes only flags its
+filter kind or backtest model reads (a backtest model its own windows),
+except the usage errors for a flag it does not read, a second weight
+selection, cross-validation windows without --auto, given as flags or in a
+config file, a config file that names another, and these, each reported
+before its missing input is read: a backtest whose window is too short for
+its model or whose --rate is NaN or -2, and a filter given no weight, one
+l1tc weight, or a NaN weight.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -189,6 +194,12 @@ def _cli_inputs() -> dict:
         "reference-s1-x1e150.csv": _csv(value=1e150 * model1_s1),
         "reference-s1-x1e300.csv": _csv(value=1e300 * model1_s1),
         "model1-s1-n300-x1e153.csv": _csv(value=1e153 * model1_s1_n300),
+        # its order-2 weight ceiling overflows to nan; order 1's is 3.4e306
+        "walk-x1e306.csv": _csv(value=1e306 * np.cumsum(
+            np.random.default_rng(0).standard_normal(400)) / 400),
+        "latin.csv": b"date,value\n0,1\n1,2\n2,\xff\xfe\n",  # not UTF-8
+        # 60 zeros, then 1e200: the first fold's squared forecast errors overflow
+        "jump-x1e200.csv": _csv(value=np.where(np.arange(105) < 60, 0.0, 1e200)),
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
                           c=0.2 * np.cumsum(rng.standard_normal(120)) - 3),
         "flat.csv": _csv(a=walk[:40], flat=np.full(40, 3.0)),
@@ -283,6 +294,11 @@ def _cli_cases():
                                      "--lambda2", "1"]
     yield "filter-multi-inf-weight", [*panel, "--lambda", "inf"]
     yield "filter-no-input", ["filter"]
+    # weight faults, reported before the missing input is read
+    yield "filter-missing-no-weight", ["filter", "nope.csv"]
+    yield "filter-missing-l1tc-one-weight", ["filter", "nope.csv", "--kind", "l1tc",
+                                             "--lambda1", "1"]
+    yield "filter-missing-nan-weight", ["filter", "nope.csv", "--lambda", "nan"]
     yield "unknown-command", ["explode"]
     # data errors
     yield "filter-missing-file", ["filter", "nope.csv", "--lambda", "1"]
@@ -293,6 +309,7 @@ def _cli_cases():
                                         "--standardize", "--lambda", "1"]
     yield "filter-auto-short", [*walk, "--auto"]
     yield "filter-week-dates", ["filter", "week.csv", "--lambda", "1"]
+    yield "filter-not-utf8", ["filter", "latin.csv", "--lambda", "1"]
     # numerical failures
     yield "filter-index-level", ["filter", "index.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
@@ -300,6 +317,9 @@ def _cli_cases():
     yield "filter-l1c-x1e153", ["filter", "model1-s1-n300-x1e153.csv", "--kind", "l1c",
                                 "--lambda-max-fraction", "0.1"]
     yield "filter-hp-huge-weight", [*walk, "--kind", "hp", "--lambda", "1e308"]
+    yield "filter-ceiling-x1e306", ["filter", "walk-x1e306.csv", "--lambda-max-fraction", "0.1"]
+    yield "filter-l1c-fraction-x1e306", ["filter", "walk-x1e306.csv", "--kind", "l1c",
+                                         "--lambda-max-fraction", "1e300"]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
     yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",
@@ -310,6 +330,7 @@ def _cli_cases():
     yield "calibrate-overflow", ["calibrate", "reference-huge.csv"]
     yield "calibrate-stalled-x1e150", ["calibrate", "reference-s1-x1e150.csv"]
     yield "calibrate-overflow-x1e300", ["calibrate", "reference-s1-x1e300.csv"]
+    yield "calibrate-forecast-overflow", ["calibrate", "jump-x1e200.csv", *cv, "--order", "1"]
 
     for model in (1, 2, 3, 4):
         yield f"simulate-model{model}", ["simulate", "--model", str(model), "--n", "300",
@@ -359,6 +380,9 @@ def _cli_cases():
                                            "--t3", "2"]
     yield "backtest-rate-nan", ["backtest", "prices.csv", *ma, "--rate", "nan"]
     yield "backtest-rate-minus-1", ["backtest", "flat400.csv", *ma, "--rate", "-1"]
+    for bad in ("nan", "-2"):  # reported before the missing input is read
+        yield f"backtest-missing-rate-{bad}", ["backtest", "nope.csv", *ma, "--rate", bad]
+    yield "backtest-rates-empty-path", ["backtest", "prices.csv", *ma, "--rates", ""]
     yield "backtest-rates-minus-1", ["backtest", "flat400.csv", *ma, "--rates",
                                      "rates-minus-1.csv"]
     yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
@@ -395,7 +419,7 @@ def _run_cli(argv, inputs) -> str:
         os.chdir(workdir)
         try:
             for name, text in inputs.items():
-                Path(name).write_text(text)
+                Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

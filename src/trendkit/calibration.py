@@ -106,12 +106,16 @@ def lambda_max(y, order: int) -> float:
     """Smallest penalty weight at which the L1 filter fully degenerates.
 
     Equals the max-norm of (D D')^{-1} D y; above it the order-2 fit is
-    the least-squares line and the order-1 fit is the mean.
+    the least-squares line and the order-1 fit is the mean. A ceiling too
+    large for a float (values near 1e306 at order 2) is a NumericalError.
     """
     values = as_values(y)
     op = diff_operator(order, len(values))
     z = band_solve(gram_banded(op), op.apply(values))
-    return float(np.max(np.abs(z)))
+    ceiling = float(np.max(np.abs(z)))
+    if not math.isfinite(ceiling):
+        raise NumericalError(f"the order-{order} weight ceiling lambda_max overflows")
+    return ceiling
 
 
 def forecast_trend(result: FilterResult, order: int, horizon: int) -> np.ndarray:
@@ -203,10 +207,12 @@ def _cv_pool(work: int) -> Optional[concurrent.futures.ProcessPoolExecutor]:
 
 
 def _forecast_error(order: int, task) -> float:
-    """Squared forecast error of one (train, test, lam) task."""
+    """Squared forecast error of one (train, test, lam) task; inf, without
+    a warning, where it overflows (``cv_filter`` raises for it)."""
     train, test, lam = task
     forecast = forecast_trend(l1_filter(train, lam, order=order), order, len(test))
-    return float(np.mean((forecast - test) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((forecast - test) ** 2))
 
 
 def _forecast_errors(tasks, order: int, window: int) -> list:
@@ -237,7 +243,8 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     pool of forked workers, one per CPU the process may use, in about
     CHUNKS_PER_WORKER contiguous chunks each, when they repay the round
     trips. The report, and the first failure, are the one-process loop's.
-    Ceilings too large for a finite grid are a NumericalError.
+    Ceilings too large for a finite grid, and forecast errors too large
+    to sum, are a NumericalError.
     """
     values = as_values(y)
     n = len(values)
@@ -270,7 +277,10 @@ def cv_filter(y, cfg: CVConfig) -> CVReport:
     # C order: numpy sums the rows of a Fortran-order array in another order
     fold_errors = np.array(scores).reshape(cfg.p, cfg.n_grid).T.copy()
 
-    errors = fold_errors.sum(axis=1)
+    with np.errstate(over="ignore"):
+        errors = fold_errors.sum(axis=1)
+    if not np.all(np.isfinite(errors)):  # a jump to 1e200 after a flat training window
+        raise NumericalError("squared forecast errors overflow")
     best = int(np.argmin(errors))
     return CVReport(
         grid=grid,

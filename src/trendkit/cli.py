@@ -71,7 +71,7 @@ def read_table(path):
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a huge field
         raise DataError(f"cannot read {path}: {exc}")
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -173,6 +173,7 @@ def load_config(path) -> list:
 
 
 _WEIGHTS = ("lam", "lambda_max_fraction", "auto")  # filter reads one of them
+_PAIR = {"lambda1": "lam1", "lambda2": "lam2"}  # l1tc reads both: l1tc_filter's names
 _WINDOWS = ("T1", "T2", "m", "p", "n_grid")  # filter reads them with --auto only
 _L1 = {"column", *_WEIGHTS, *_WINDOWS}
 _TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window"}
@@ -180,7 +181,7 @@ _SHARED = {"command", "func", "input", "out", "report", "config"}  # every varia
 READS = {  # command -> (the flag picking its variant, {variant: the other flags it reads})
     "filter": ("kind", {"l1t": _L1, "l1c": _L1, "l1t-multi": _L1 - {"column"} | {"standardize"},
                         "hp": {"column", "lam", "lambda_max_fraction", "order"},
-                        "l1tc": {"column", "lambda1", "lambda2"}}),
+                        "l1tc": {"column", *_PAIR}}),
     "backtest": ("trend_model", {  # the allocation rule, the model's windows, an L1 grid
         m: _TRADE | {*w, *(("cv_m", "cv_p", "n_grid") if m in strategy.L1_MODELS else ())}
         for m, w in strategy.TREND_WINDOWS.items()}),
@@ -199,8 +200,7 @@ def _given(cls, args) -> dict:
 
 
 def _out_path(args, key, input_path, suffix):
-    given = args.get(key)
-    return Path(given) if given else Path(input_path).with_suffix(suffix)
+    return Path(args.get(key) or Path(input_path).with_suffix(suffix))
 
 
 def _resolve_lambda(values, order, args, cv):
@@ -209,21 +209,26 @@ def _resolve_lambda(values, order, args, cv):
         return args["lam"], {"selection": "explicit"}
     if "lambda_max_fraction" in args:
         fraction, ceiling = args["lambda_max_fraction"], calibration.lambda_max(values, order)
+        if math.isinf(fraction * ceiling):  # both finite: a fraction above 1
+            raise NumericalError(f"weight {fraction:g} x lambda_max {ceiling:.3g} overflows")
         return fraction * ceiling, {"selection": "lambda-max-fraction",
                                     "lambda_max": ceiling, "fraction": fraction}
-    if cv is not None:
-        report = calibration.cv_filter(values, cv)
-        return report.lambda_star, {"selection": "cross-validation",
-                                    "grid": report.grid, "errors": report.errors}
-    raise UsageError("give --lambda, --lambda-max-fraction, or --auto")
+    report = calibration.cv_filter(values, cv)
+    return report.lambda_star, {"selection": "cross-validation",
+                                "grid": report.grid, "errors": report.errors}
 
 
 def cmd_filter(args) -> int:
     kind = args["kind"]
     input_path = args["input"]
-    weights = [_option(d) for d in _WEIGHTS if d in args]
-    if len(weights) > 1:
-        raise UsageError(f"--kind {kind} takes one weight, got {' and '.join(weights)}")
+    weights = [d for d in (*_WEIGHTS, *_PAIR) if d in READS["filter"][1][kind]]
+    given = [_option(d) for d in weights if d in args]
+    if len(given) != (2 if kind == "l1tc" else 1):
+        takes = ("both weights" if kind == "l1tc" else "one weight") + \
+            ("" if len(given) > 1 else f" ({', '.join(map(_option, weights))})")  # the choices
+        raise UsageError(f"--kind {kind} takes {takes}, got {' and '.join(given) or 'none'}")
+    for d in sorted(set(weights) & set(args) - {"auto"}):  # as the filters check each value
+        filters.check_weight(_PAIR.get(d, d), args[d])
     if "auto" not in args and (windows := [_option(d) for d in _WINDOWS if d in args]):
         raise UsageError(f"--kind {kind} reads {', '.join(windows)} only with --auto")
     order = args.get("order", 1 if kind == "l1c" else 2)  # only hp reads --order
@@ -244,8 +249,6 @@ def cmd_filter(args) -> int:
         times, observed = series.times, series.values
 
     if kind == "l1tc":
-        if "lambda1" not in args or "lambda2" not in args:
-            raise UsageError("l1tc needs both --lambda1 and --lambda2")
         lam, selection = (args["lambda1"], args["lambda2"]), {"selection": "explicit"}
         result = filters.l1tc_filter(observed, *lam)
         breaks = {f"breaks_order{k}": filters.detect_breaks(result, k) for k in (1, 2)}
@@ -280,12 +283,9 @@ def cmd_calibrate(args) -> int:
     series = ingest_csv(input_path, column=args.get("column"))
     report = calibration.cv_filter(series.values, cfg)
 
-    errors_path = _out_path(args, "errors_out", input_path, ".cv-errors.csv")
-    with open(errors_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "error"])
-        for lam, err in zip(report.grid, report.errors):
-            writer.writerow([_fmt(lam), _fmt(err)])
+    rows = [[_fmt(lam), _fmt(err)] for lam, err in zip(report.grid, report.errors)]
+    with open(_out_path(args, "errors_out", input_path, ".cv-errors.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerows([["lambda", "error"], *rows])
 
     report_path = _out_path(args, "report", input_path, ".cv-report.json")
     write_report(report_path, {"config": asdict(cfg), **asdict(report)})
@@ -317,9 +317,9 @@ def cmd_backtest(args) -> int:
     if "rate" in args and "rates" in args:
         raise UsageError("give --rate or --rates, not both")
     cfg = strategy.StrategyConfig(**_given(strategy.StrategyConfig, args))
+    rates = {"rates": strategy.check_rate(args["rate"])} if "rate" in args else {}
     prices = ingest_csv(input_path, column=args.get("column"))
-    rates = {"rates": args["rate"]} if "rate" in args else {}
-    if args.get("rates"):
+    if "rates" in args:  # an empty path too: it names no readable file
         rates["rates"] = ingest_csv(args["rates"])
     report = strategy.run_backtest(prices, cfg=cfg, **rates)
 

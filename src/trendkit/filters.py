@@ -42,6 +42,7 @@ from .tv import tv_denoise
 
 __all__ = [
     "FilterResult",
+    "check_weight",
     "hp_filter",
     "l1_filter",
     "l1tc_filter",
@@ -69,7 +70,7 @@ class FilterResult:
     observed: np.ndarray
 
 
-def _check_weight(name: str, lam) -> float:
+def check_weight(name: str, lam) -> float:
     """Reject a penalty weight that is negative, infinite or NaN; return it
     as a float, with -0.0 as 0.0."""
     if lam < 0:
@@ -124,7 +125,7 @@ def hp_filter(y, lam: float, order: int = 2) -> FilterResult:
     mean-reverting signals.
     """
     values = as_values(y)
-    lam = _check_weight("lam", lam)
+    lam = check_weight("lam", lam)
     if order not in (1, 2):  # here too, as weight 0 builds no operator
         raise ValueError(f"order must be 1 or 2, got {order}")
     if lam == 0:
@@ -149,7 +150,7 @@ def l1_filter(y, lam: float, order: int = 2) -> FilterResult:
     both cases.
     """
     values = as_values(y)
-    lam = _check_weight("lam", lam)
+    lam = check_weight("lam", lam)
     trend, duals, solution = _l1_fit(values, {order: lam})
     return FilterResult(trend, duals[order], lam, solution, values)
 
@@ -162,7 +163,7 @@ def l1tc_filter(y, lam1: float, lam2: float) -> FilterResult:
     second-difference components.
     """
     values = as_values(y)
-    lams = (_check_weight("lam1", lam1), _check_weight("lam2", lam2))
+    lams = (check_weight("lam1", lam1), check_weight("lam2", lam2))
     trend, duals, solution = _l1_fit(values, {1: lams[0], 2: lams[1]})
     return FilterResult(trend, np.concatenate([duals[1], duals[2]]), lams, solution, values)
 

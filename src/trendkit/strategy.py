@@ -45,6 +45,7 @@ __all__ = [
     "optimal_allocation",
     "step_wealth",
     "predict_two_trend",
+    "check_rate",
     "run_backtest",
     "performance_stats",
 ]
@@ -294,6 +295,15 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
     return lambda t: _last_slope(predict_two_trend(log_p[:t + 1], *horizons).prediction)
 
 
+def check_rate(rate) -> float:
+    """A scalar risk-free rate per period as a float: a ValueError unless it
+    is finite and above -1, as at -1 the cash position alone is ruined."""
+    rate = float(rate)
+    if not -1.0 < rate < math.inf:  # NaN fails too
+        raise ValueError(f"rate must be finite and above -1, got {rate}")
+    return rate
+
+
 def run_backtest(prices, rates: Union[float, Series] = 0.0,
                  cfg: StrategyConfig = StrategyConfig()) -> BacktestReport:
     """Daily walk-forward backtest of the momentum rule.
@@ -303,9 +313,9 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     price move. Dates where the trend estimation fails keep the
     previous allocation; dates with floored variance are flagged. A price
     move that takes wealth to zero or below is a :class:`DataError`, a
-    wealth that overflows a :class:`NumericalError`. A scalar rate must be
-    finite and above -1 (else a ValueError), and a rates value -1 or less is
-    a :class:`DataError` naming its date: such a rate alone ruins cash.
+    wealth that overflows a :class:`NumericalError`. A scalar rate must pass
+    :func:`check_rate`, and a rates value -1 or less is a :class:`DataError`
+    naming its date: such a rate alone ruins cash.
     """
     if not isinstance(prices, Series):
         prices = Series.from_values(as_values(prices))
@@ -331,9 +341,7 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
         rate_at = rates.values.tolist()
         mean_rate = float(np.mean(rates.values))
     else:
-        mean_rate = float(rates)
-        if not -1.0 < mean_rate < math.inf:  # NaN fails too
-            raise ValueError(f"rate must be finite and above -1, got {mean_rate}")
+        mean_rate = check_rate(rates)
         rate_at = [mean_rate] * n
 
     t0 = max(_first_day(cfg), cfg.vol_window)

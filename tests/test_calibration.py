@@ -43,6 +43,16 @@ class TestLambdaMax:
                     dense_lambda_max(y, order), rel=1e-10
                 )
 
+    def test_ceiling_too_large_for_a_float_is_numerical_error(self):
+        # order 1's ceiling is finite; order 2's solve overflows to nan
+        y = 1e306 * np.cumsum(np.random.default_rng(0).standard_normal(400)) / 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_max(y, 1) == pytest.approx(3.397e306, rel=1e-3)
+            with pytest.raises(NumericalError,
+                               match="^the order-2 weight ceiling lambda_max overflows$"):
+                lambda_max(y, 2)
+
     def test_filter_degenerates_at_ceiling(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=40).cumsum()

@@ -584,6 +584,7 @@ class TestBacktestCommand:
             raise AssertionError("trend model built")
 
         monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        monkeypatch.setattr(cli, "read_table", _no_input)  # the rate is checked first
         f = self.make_prices(tmp_path, n=60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -598,6 +599,7 @@ class TestBacktestCommand:
                                                       rate):
         # a rate of -1 takes flat prices' cash position to zero on the first day
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "read_table", _no_input)  # the rate is checked first
         f = self.make_prices(tmp_path, n=400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -619,6 +621,19 @@ class TestBacktestCommand:
                          "--vol-window", "20", "--rates", "r.csv"]) == EXIT_DATA
         assert capsys.readouterr().err == "data error: rate -1 at 51 is not above -1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "r.csv"]
+
+    @pytest.mark.parametrize("flags, config", [(["--rates", ""], ""), ([], "rates =\n")],
+                             ids=["flag", "config"])
+    def test_empty_rates_path_is_data_error(self, tmp_path, capsys, monkeypatch, flags,
+                                            config):
+        # an empty path names no file, so it is read and fails like any other
+        monkeypatch.chdir(tmp_path)
+        self.make_prices(tmp_path, n=60)
+        (tmp_path / "b.cfg").write_text(config)
+        assert main(["backtest", "prices.csv", "--model", "ma", "--t3", "20",
+                     "--vol-window", "20", "--config", "b.cfg", *flags]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: cannot read : ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "prices.csv"]
 
     @pytest.mark.parametrize("n, g, jump, flags, figure", [
         (60, 0.0, 1.0, ["--rate", "20"], "return"),
@@ -802,6 +817,25 @@ def test_nonfinite_cell_is_data_error_at_its_line(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "m.csv", "p.csv"]
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"date,value\n0,1\n1,2\n2,\xff\xfe\n",
+     "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
+    (b"date,value\n0,1\n1,\"" + b"9" * 200000 + b"\"\n", "field larger than field limit (131072)"),
+], ids=["not-utf8", "huge-field"])
+@pytest.mark.parametrize("command", [
+    ["filter", "bad.csv", "--lambda", "1"],
+    ["backtest", "p.csv", "--model", "ma", "--rates", "bad.csv"],
+], ids=["filter", "backtest-rates"])
+def test_unreadable_csv_text_is_data_error(tmp_path, capsys, monkeypatch, command, content,
+                                           reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_bytes(content)
+    write_csv(tmp_path / "p.csv", np.arange(5), [("value", np.full(5, 75.0))])
+    assert main(command) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: cannot read bad.csv: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "p.csv"]
+
+
 @pytest.mark.parametrize("command", [["calibrate"], ["filter", "--kind", "l1t", "--auto"]],
                          ids=["calibrate", "filter-auto"])
 def test_overflowing_cv_grid_is_numerical_failure(tmp_path, capsys, command):
@@ -816,16 +850,32 @@ def test_overflowing_cv_grid_is_numerical_failure(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
+@pytest.mark.parametrize("command", [["calibrate", "--order", "1"],
+                                     ["filter", "--kind", "l1c", "--auto"]],
+                         ids=["calibrate", "filter-auto"])
+def test_overflowing_forecast_errors_are_numerical_failure(tmp_path, capsys, command):
+    # the first fold trains on zeros, which forecast zeros, and tests on 1e200
+    f = tmp_path / "jump.csv"
+    write_csv(f, np.arange(105), [("value", np.where(np.arange(105) < 60, 0.0, 1e200))])
+    geometry = ["--t1", "60", "--t2", "15", "--m", "3", "--p", "3", "--n-grid", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], str(f), *command[1:], *geometry]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: squared forecast errors overflow\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["jump.csv"]
+
+
 def test_missing_input_file_is_usage_or_data_error(tmp_path):
     assert main(["filter", str(tmp_path / "nope.csv"), "--kind", "l1t",
                  "--lambda", "1"]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("command", ["filter", "calibrate"])
+@pytest.mark.parametrize("command", [["filter", "--lambda", "1"], ["calibrate"]],
+                         ids=["filter", "calibrate"])
 def test_header_only_csv_is_data_error(tmp_path, capsys, command):
     f = tmp_path / "hdr.csv"
     write_lines(f, ["date,value"])
-    assert main([command, str(f)]) == EXIT_DATA
+    assert main([command[0], str(f), *command[1:]]) == EXIT_DATA
     assert f"{f}: no data rows" in capsys.readouterr().err
 
 
@@ -839,11 +889,12 @@ def test_trailing_blank_line_is_ignored(tmp_path):
             == (tmp_path / "plain.trend.csv").read_bytes())
 
 
-@pytest.mark.parametrize("command", ["filter", "calibrate"])
+@pytest.mark.parametrize("command", [["filter", "--lambda", "1"], ["calibrate"]],
+                         ids=["filter", "calibrate"])
 def test_header_and_blank_lines_is_data_error(tmp_path, capsys, command):
     f = tmp_path / "hdr.csv"
     write_lines(f, ["date,value", "", ""])
-    assert main([command, str(f)]) == EXIT_DATA
+    assert main([command[0], str(f), *command[1:]]) == EXIT_DATA
     assert f"{f}: no data rows after the header" in capsys.readouterr().err
 
 
@@ -857,11 +908,12 @@ def test_whitespace_line_is_ignored(tmp_path):
             == (tmp_path / "plain.trend.csv").read_bytes())
 
 
-@pytest.mark.parametrize("command", ["filter", "calibrate"])
+@pytest.mark.parametrize("command", [["filter", "--lambda", "1"], ["calibrate"]],
+                         ids=["filter", "calibrate"])
 def test_header_and_whitespace_lines_is_data_error(tmp_path, capsys, command):
     f = tmp_path / "hdr.csv"
     write_lines(f, ["date,value", "  ", "\t"])
-    assert main([command, str(f)]) == EXIT_DATA
+    assert main([command[0], str(f), *command[1:]]) == EXIT_DATA
     assert f"{f}: no data rows after the header" in capsys.readouterr().err
 
 
@@ -911,6 +963,24 @@ def test_overflowing_order1_gap_is_numerical_failure_without_warnings(tmp_path, 
         assert math.isnan(record.duality_gap)
         assert main(["filter", str(f), "--kind", "l1c",
                      "--lambda-max-fraction", "0.1"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["--lambda-max-fraction", "0.1"], "the order-2 weight ceiling lambda_max overflows"),
+    (["--kind", "hp", "--lambda-max-fraction", "0.1"],
+     "the order-2 weight ceiling lambda_max overflows"),
+    (["--kind", "l1c", "--lambda-max-fraction", "1e300"],
+     "weight 1e+300 x lambda_max 3.4e+306 overflows"),
+], ids=["l1t", "hp", "l1c-fraction-1e300"])
+def test_overflowing_weight_ceiling_is_numerical_failure(tmp_path, capsys, weights, message):
+    f = tmp_path / "huge.csv"
+    y = 1e306 * np.cumsum(np.random.default_rng(0).standard_normal(400)) / 400
+    write_csv(f, np.arange(400), [("value", y)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", str(f), *weights]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
 
@@ -1094,6 +1164,44 @@ def test_config_fault_is_usage_error_before_any_input(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "read_table", _no_input)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _weight_cases():
+    """One weight for each single-weight kind, both for l1tc, each value as the filters
+    take it."""
+    one = "one weight (--lambda, --lambda-max-fraction, --auto)"
+    for kind in ("l1t", "l1c", "l1t-multi"):
+        yield pytest.param(["--kind", kind], f"--kind {kind} takes {one}, got none",
+                           id=f"{kind}-none")
+    yield pytest.param(["--kind", "hp"], "--kind hp takes one weight (--lambda, "
+                       "--lambda-max-fraction), got none", id="hp-none")
+    for flag in ("--lambda1", "--lambda2"):
+        yield pytest.param(["--kind", "l1tc", flag, "1"], "--kind l1tc takes both weights "
+                           f"(--lambda1, --lambda2), got {flag}", id=f"l1tc-only{flag[-1]}")
+    yield pytest.param(["--lambda", "1", "--auto"],
+                       "--kind l1t takes one weight, got --lambda and --auto", id="two")
+    for weights, message, case in [
+        (["--lambda", "nan"], "lam must be finite, got nan", "lambda-nan"),
+        (["--kind", "hp", "--lambda", "-1"], "lam must be non-negative, got -1.0",
+         "hp-lambda-negative"),
+        (["--lambda-max-fraction", "inf"], "lambda_max_fraction must be finite, got inf",
+         "fraction-inf"),
+        (["--kind", "l1tc", "--lambda1", "inf", "--lambda2", "nan"],
+         "lam1 must be finite, got inf", "l1tc-both-nonfinite"),
+        (["--kind", "l1tc", "--lambda1", "1", "--lambda2", "-2"],
+         "lam2 must be non-negative, got -2.0", "l1tc-lambda2-negative"),
+    ]:
+        yield pytest.param(weights, message, id=case)
+
+
+@pytest.mark.parametrize("weights, message", list(_weight_cases()))
+def test_weight_fault_is_usage_error_before_any_input(tmp_path, capsys, monkeypatch, weights,
+                                                      message):
+    monkeypatch.setattr(cli, "read_table", _no_input)
+    monkeypatch.chdir(tmp_path)
+    assert main(["filter", "in.csv", *weights]) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
