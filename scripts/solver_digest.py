@@ -31,14 +31,19 @@ overflows; the l1c filter of 300 model-1 samples scaled by 1e153, whose
 exact order-1 gap overflows; a walk scaled to 1e306, whose order-2 weight
 ceiling overflows, as does its order-1 ceiling times 1e300; order-1
 calibrate on 60 zeros then 1e200, whose squared forecast errors overflow;
-a CSV that is not UTF-8; and an empty --rates path. Each command passes only flags its
-filter kind or backtest model reads (a backtest model its own windows),
-except the usage errors for a flag it does not read, a second weight
-selection, cross-validation windows without --auto, given as flags or in a
-config file, a config file that names another, and these, each reported
-before its missing input is read: a backtest whose window is too short for
-its model or whose --rate is NaN or -2, and a filter given no weight, one
-l1tc weight, or a NaN weight.
+a CSV that is not UTF-8; an empty --rates path; a time stamp beyond int64
+and a repeated value-column name (for filter and a --rates file); the l1c,
+l1tc (with a zero second weight) and order-1 calibrate solves of samples near
+1.7e308, whose running sums overflow; and simulate with an infinite or NaN
+--sigma or --b. Each command passes only flags its filter kind or backtest
+model reads (a backtest model its own windows), except the usage errors for
+a flag it does not read, a second weight selection, cross-validation windows
+without --auto, given as flags or in a config file, a config file that names
+another, and these, each reported before its missing input is read: a
+backtest whose window is too short for its model or whose --rate is NaN or
+-2, a filter given no weight, one l1tc weight, or a NaN weight, and an
+--out, --report or --errors-out (a flag or a config key) that names a
+directory or lies in a missing one.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -198,6 +203,11 @@ def _cli_inputs() -> dict:
         "walk-x1e306.csv": _csv(value=1e306 * np.cumsum(
             np.random.default_rng(0).standard_normal(400)) / 400),
         "latin.csv": b"date,value\n0,1\n1,2\n2,\xff\xfe\n",  # not UTF-8
+        "bigint.csv": "date,value\n0,1\n1,2\n100000000000000000000,4\n",  # beyond int64
+        "dup.csv": _csv(**{"a": walk[:12], "a ": walk[:12] + 50}),  # "a" twice once stripped
+        "dupv.csv": "date,value,value\n0,1,5\n1,2,6\n2,3,7\n3,4,8\n",
+        # its running sums pass the float range
+        "sum-x1.7e308.csv": _csv(value=np.where(np.arange(105) % 2 == 0, 1.7e308, 1.6e308)),
         # 60 zeros, then 1e200: the first fold's squared forecast errors overflow
         "jump-x1e200.csv": _csv(value=np.where(np.arange(105) < 60, 0.0, 1e200)),
         "panel.csv": _csv(a=walk[:120], b=40 * walk[120:240] + 7,
@@ -239,6 +249,7 @@ def _cli_inputs() -> dict:
         "backtest-t1.cfg": "model = ma\nt1 = 60\n",
         "nested.cfg": "config = lambda.cfg\n",  # a config file that names another
         "lambda.cfg": "lambda = 1\n",
+        "report-nodir.cfg": "lambda = 1\nreport = nodir/r.json\n",
     }
 
 
@@ -310,6 +321,10 @@ def _cli_cases():
     yield "filter-auto-short", [*walk, "--auto"]
     yield "filter-week-dates", ["filter", "week.csv", "--lambda", "1"]
     yield "filter-not-utf8", ["filter", "latin.csv", "--lambda", "1"]
+    yield "filter-stamp-beyond-int64", ["filter", "bigint.csv", "--lambda", "1"]
+    yield "filter-multi-repeated-column", ["filter", "dup.csv", "--kind", "l1t-multi",
+                                           "--lambda", "1"]
+    yield "filter-repeated-column", ["filter", "dupv.csv", "--lambda", "1"]
     # numerical failures
     yield "filter-index-level", ["filter", "index.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-max-iter", [*walk, "--lambda-max-fraction", "0.2", "--max-iter", "1"]
@@ -320,6 +335,13 @@ def _cli_cases():
     yield "filter-ceiling-x1e306", ["filter", "walk-x1e306.csv", "--lambda-max-fraction", "0.1"]
     yield "filter-l1c-fraction-x1e306", ["filter", "walk-x1e306.csv", "--kind", "l1c",
                                          "--lambda-max-fraction", "1e300"]
+    yield "filter-l1c-sum-x1.7e308", ["filter", "sum-x1.7e308.csv", "--kind", "l1c",
+                                      "--lambda", "1"]
+    yield "filter-l1tc-only1-sum-x1.7e308", ["filter", "sum-x1.7e308.csv", "--kind", "l1tc",
+                                             "--lambda1", "1", "--lambda2", "0"]
+    # output paths that cannot be files, reported before the input is read
+    yield "filter-report-no-directory", [*walk, "--lambda", "1", "--report", "nodir/r.json"]
+    yield "filter-out-is-directory", [*walk, "--lambda", "1", "--out", "."]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
     yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",
@@ -331,6 +353,10 @@ def _cli_cases():
     yield "calibrate-stalled-x1e150", ["calibrate", "reference-s1-x1e150.csv"]
     yield "calibrate-overflow-x1e300", ["calibrate", "reference-s1-x1e300.csv"]
     yield "calibrate-forecast-overflow", ["calibrate", "jump-x1e200.csv", *cv, "--order", "1"]
+    yield "calibrate-order1-sum-x1.7e308", ["calibrate", "sum-x1.7e308.csv", *cv,
+                                            "--order", "1"]
+    yield "calibrate-errors-out-no-directory", ["calibrate", "walk.csv", "--errors-out",
+                                                "nodir/e.csv"]
 
     for model in (1, 2, 3, 4):
         yield f"simulate-model{model}", ["simulate", "--model", str(model), "--n", "300",
@@ -340,6 +366,10 @@ def _cli_cases():
                               "--b", "3", "--sigma", "0.5", "--theta", "0.3", "--out", "m.csv"]
     yield "simulate-bad-model", ["simulate", "--model", "9"]
     yield "simulate-bad-params", ["simulate", "--p", "1.5"]
+    for flag in ("sigma", "b"):
+        for bad in ("inf", "nan"):
+            yield f"simulate-{flag}-{bad}", ["simulate", "--n", "5", f"--{flag}", bad]
+    yield "simulate-out-no-directory", ["simulate", "--n", "5", "--out", "nodir/m.csv"]
 
     for model in TREND_MODELS:
         yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model, *reads[model]]
@@ -383,6 +413,8 @@ def _cli_cases():
     for bad in ("nan", "-2"):  # reported before the missing input is read
         yield f"backtest-missing-rate-{bad}", ["backtest", "nope.csv", *ma, "--rate", bad]
     yield "backtest-rates-empty-path", ["backtest", "prices.csv", *ma, "--rates", ""]
+    yield "backtest-rates-repeated-column", ["backtest", "prices.csv", *ma, "--rates",
+                                             "dupv.csv"]
     yield "backtest-rates-minus-1", ["backtest", "flat400.csv", *ma, "--rates",
                                      "rates-minus-1.csv"]
     yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
@@ -409,6 +441,7 @@ def _cli_cases():
     yield "config-no-equals", [*walk, "--config", "noequals.cfg"]
     yield "config-missing", [*walk, "--config", "nope.cfg"]
     yield "config-names-config", [*walk, "--config", "nested.cfg"]
+    yield "config-report-no-directory", [*walk, "--config", "report-nodir.cfg"]
 
 
 def _run_cli(argv, inputs) -> str:

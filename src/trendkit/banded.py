@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import DataError, InsufficientHistoryError, NotPositiveDefiniteError
 
+__all__ = ["BandedSymMatrix", "DiffOperator", "band_solve", "diff_operator", "gram_banded"]
+
 
 def _load_flapack():
     """``scipy.linalg._flapack``, loaded from its file without importing scipy."""

@@ -84,6 +84,8 @@ def read_table(path):
     if not lines:
         raise DataError(f"{path}: no data rows after the header")
     names = header[1:]
+    if repeated := next((name for name in names if names.count(name) > 1), None):
+        raise DataError(f"{path}: value column {repeated!r} is named more than once")
     times = []
     columns = {name: [] for name in names}
     for line_no, row in lines:
@@ -92,6 +94,9 @@ def read_table(path):
                 f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
         times.append(_parse_time(row[0], line_no))
+        if type(times[-1]) is int and not -2**63 <= times[-1] < 2**63:  # numpy's int64
+            raise DataError(f"{path}: line {line_no}: time {row[0].strip()!r} is beyond "
+                            f"the 64-bit integer range")
         for name, cell in zip(names, row[1:]):
             cell = cell.strip()
             if not cell:
@@ -174,14 +179,15 @@ def load_config(path) -> list:
 
 _WEIGHTS = ("lam", "lambda_max_fraction", "auto")  # filter reads one of them
 _PAIR = {"lambda1": "lam1", "lambda2": "lam2"}  # l1tc reads both: l1tc_filter's names
-_WINDOWS = ("T1", "T2", "m", "p", "n_grid")  # filter reads them with --auto only
+# filter reads the cross-validation windows with --auto only; its kind sets the order
+_WINDOWS = tuple(f.name for f in fields(calibration.CVConfig) if f.name != "order")
 _L1 = {"column", *_WEIGHTS, *_WINDOWS}
 _TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window"}
 _SHARED = {"command", "func", "input", "out", "report", "config"}  # every variant's
 READS = {  # command -> (the flag picking its variant, {variant: the other flags it reads})
-    "filter": ("kind", {"l1t": _L1, "l1c": _L1, "l1t-multi": _L1 - {"column"} | {"standardize"},
-                        "hp": {"column", "lam", "lambda_max_fraction", "order"},
-                        "l1tc": {"column", *_PAIR}}),
+    "filter": ("kind", {"hp": {"column", "lam", "lambda_max_fraction", "order"},
+                        "l1t": _L1, "l1c": _L1, "l1tc": {"column", *_PAIR},
+                        "l1t-multi": _L1 - {"column"} | {"standardize"}}),
     "backtest": ("trend_model", {  # the allocation rule, the model's windows, an L1 grid
         m: _TRADE | {*w, *(("cv_m", "cv_p", "n_grid") if m in strategy.L1_MODELS else ())}
         for m, w in strategy.TREND_WINDOWS.items()}),
@@ -348,10 +354,11 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _flags(sub, cast, *names):
-    """One flag per config field, named after it: T1 as --t1, n_grid as --n-grid."""
-    for name in names:
-        sub.add_argument(_option(name), dest=name, type=cast)
+def _config_flags(sub, cls, skip=None):
+    """One flag per field of config dataclass ``cls`` but ``skip``, named by
+    ``_option`` and typed by the field's annotation: T1 as the int --t1."""
+    for f in (f for f in fields(cls) if f.name != skip):  # annotations are strings
+        sub.add_argument(_option(f.name), dest=f.name, type={"int": int, "float": float}[f.type])
 
 
 def build_parser() -> _Parser:
@@ -366,8 +373,7 @@ def build_parser() -> _Parser:
 
     f = command("filter", cmd_filter, "extract a trend from a CSV series")
     f.add_argument("input")
-    f.add_argument("--kind", choices=["hp", "l1t", "l1c", "l1tc", "l1t-multi"],
-                   default="l1t")
+    f.add_argument("--kind", choices=list(READS["filter"][1]), default="l1t")
     f.add_argument("--lambda", dest="lam", type=float)
     f.add_argument("--lambda1", type=float)
     f.add_argument("--lambda2", type=float)
@@ -376,13 +382,13 @@ def build_parser() -> _Parser:
     f.add_argument("--order", type=int, choices=[1, 2], help="difference order for --kind hp")
     f.add_argument("--column")
     f.add_argument("--standardize", action="store_true")
-    _flags(f, int, "T1", "T2", "m", "p", "n_grid")
+    _config_flags(f, calibration.CVConfig, skip="order")
     f.add_argument("--out")
     f.add_argument("--report")
 
     c = command("calibrate", cmd_calibrate, "cross-validate the penalty weight")
     c.add_argument("input")
-    _flags(c, int, "T1", "T2", "m", "p", "n_grid")
+    _config_flags(c, calibration.CVConfig, skip="order")
     c.add_argument("--order", type=int, choices=[1, 2])
     c.add_argument("--column")
     c.add_argument("--report")
@@ -390,8 +396,7 @@ def build_parser() -> _Parser:
 
     s = command("simulate", cmd_simulate, "generate a benchmark process")
     s.add_argument("--model", type=int, choices=list(_SIMULATORS), default=1)
-    _flags(s, int, "n", "seed")
-    _flags(s, float, "p", "b", "sigma", "theta")
+    _config_flags(s, synth.ModelParams)
     s.add_argument("--out")
 
     b = command("backtest", cmd_backtest, "walk-forward momentum backtest")
@@ -400,8 +405,7 @@ def build_parser() -> _Parser:
     b.add_argument("--rate", type=float)
     b.add_argument("--rates", help="CSV of per-period risk-free rates")
     b.add_argument("--column")
-    _flags(b, float, "risk_aversion", "alpha_min", "alpha_max")
-    _flags(b, int, "vol_window", "T2", "T3", "cv_m", "cv_p", "n_grid")
+    _config_flags(b, strategy.StrategyConfig, skip="trend_model")
     b.add_argument("--out")
     b.add_argument("--report")
 
@@ -423,6 +427,11 @@ def main(argv=None) -> int:
             unread = [_option(d) for d in args if d not in _SHARED | {key} | reads[variant]]
             if unread:
                 raise UsageError(f"{_option(key)} {variant} does not read {', '.join(unread)}")
+        for dest in (d for d in ("out", "report", "errors_out") if args.get(d)):
+            path = Path(args[dest])  # an explicit output path, checked before any input
+            if path.is_dir() or not path.parent.is_dir():
+                fault = "is a directory" if path.is_dir() else f"no directory {path.parent}"
+                raise UsageError(f"{_option(dest)} {args[dest]}: {fault}")
         return args.pop("func")(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

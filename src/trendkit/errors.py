@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["TrendkitError", "DataError", "InsufficientHistoryError", "NumericalError",
+           "NotPositiveDefiniteError", "ConvergenceError"]
+
 
 class TrendkitError(Exception):
     """Base class for package-specific errors."""

@@ -99,9 +99,14 @@ def _l1_fit(values: np.ndarray, weights: dict):
     # D y of the data: the QP's linear term, and on every path the overflow check
     rows = [ops[order].apply(values) for order in active]
     if list(active) == [1]:
-        trend, duals[1], gap, residual = tv_denoise(values, active[1])
-        failure = (None if gap <= ipm.TOL else
-                   f"direct order-1 solve left duality gap {gap:.3e} above {ipm.TOL:g}")
+        try:
+            trend, duals[1], gap, residual = tv_denoise(values, active[1])
+        except OverflowError:  # a running or a segment's sum of the data
+            gap = residual = math.nan
+            failure = "direct order-1 solve overflows: a sum of the data exceeds the float range"
+        else:
+            failure = (None if gap <= ipm.TOL else
+                       f"direct order-1 solve left duality gap {gap:.3e} above {ipm.TOL:g}")
         solution = IpmSolution(duals[1], 0, gap, residual, failure)
     else:
         upper = [np.full(ops[order].rows, lam) for order, lam in active.items()]

@@ -29,6 +29,8 @@ import numpy as np
 from .banded import BandedSymMatrix, band_solve
 from .errors import ConvergenceError, NotPositiveDefiniteError
 
+__all__ = ["BoxQP", "IpmSolution", "solve_box_qp"]
+
 MU_MULT = 10.0          # barrier growth per iteration
 BACKTRACK_SLOPE = 0.01  # sufficient-decrease parameter
 BACKTRACK_STEP = 0.5    # step shrink factor

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DataError
 
+__all__ = ["Series"]
+
 
 @dataclass(frozen=True)
 class Series:

@@ -46,8 +46,10 @@ class ModelParams:
             raise ValueError(f"n must be at least 3, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"persistence p must lie in [0, 1], got {self.p}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:  # NaN fails too
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not np.isfinite(self.b):
+            raise ValueError(f"draw scale b must be finite, got {self.b}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
 

@@ -39,7 +39,7 @@ def tv_denoise(y: np.ndarray, lam: float):
 
     Returns (x, nu, gap, residual): the piecewise-constant trend, the dual
     (|nu| <= lam, n - 1 entries), the primal-dual gap of the pair and
-    max |y - x - D'nu|.
+    max |y - x - D'nu|. A sum of y beyond the float range raises OverflowError.
     """
     ends, signs = _segments(y, lam)
     x, nu = _fit(y, lam, ends, signs)
@@ -63,7 +63,10 @@ def _segments(y: np.ndarray, lam: float):
     comes first, and that vertex becomes the anchor.
     """
     n = len(y)
-    running = np.cumsum(y - y.mean()).tolist()  # centered: |S| <= about lambda_max
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN stays to the end
+        running = np.cumsum(y - y.mean()).tolist()  # centered: |S| <= about lambda_max
+    if not math.isfinite(running[-1]):
+        raise OverflowError("running sum overflows")
     ends, signs = [], []
     a, fa = 0, 0.0
     li, lv, ui, uv = [0], [0.0], [0], [0.0]

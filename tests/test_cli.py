@@ -432,6 +432,24 @@ class TestSimulateCommand:
             "simulate", "--model", "1", "--p", "1.5", "--out", str(out)
         ]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "inf", "sigma must be finite and non-negative, got inf"),
+        ("--sigma", "nan", "sigma must be finite and non-negative, got nan"),
+        ("--b", "inf", "draw scale b must be finite, got inf"),
+        ("--b", "nan", "draw scale b must be finite, got nan"),
+    ], ids=["sigma-inf", "sigma-nan", "b-inf", "b-nan"])
+    def test_nonfinite_params_are_usage_error(self, tmp_path, capsys, monkeypatch, flag,
+                                              value, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--model", "1", "--n", "5", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_draw_scale_is_allowed(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--n", "5", "--b", "-2", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 6
+
 
 class TestBacktestCommand:
     def make_prices(self, tmp_path, n=300):
@@ -865,6 +883,82 @@ def test_overflowing_forecast_errors_are_numerical_failure(tmp_path, capsys, com
     assert [p.name for p in tmp_path.iterdir()] == ["jump.csv"]
 
 
+@pytest.mark.parametrize("stamp", ["100000000000000000000", "-9223372036854775809"])
+@pytest.mark.parametrize("command", [
+    ["filter", "big.csv", "--lambda", "1"],
+    ["backtest", "p.csv", "--model", "ma", "--rates", "big.csv"],
+], ids=["filter", "backtest-rates"])
+def test_time_stamp_beyond_int64_is_data_error(tmp_path, capsys, monkeypatch, command, stamp):
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "big.csv", ["date,value", "0,1", "1,2", f"{stamp},4"])
+    write_csv(tmp_path / "p.csv", np.arange(5), [("value", np.full(5, 75.0))])
+    assert main(command) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"data error: big.csv: line 4: time {stamp!r} is beyond the 64-bit integer range\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "p.csv"]
+
+
+def test_largest_int64_stamps_are_read(tmp_path):
+    f = tmp_path / "edge.csv"
+    write_lines(f, ["date,value", f"{-2**63},1", f"{2**63 - 1},2"])
+    times, _ = read_table(f)
+    assert times.tolist() == [-2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("header, name, command", [
+    ("date,a,a", "a", ["filter", "dup.csv", "--kind", "l1t-multi", "--lambda", "1"]),
+    ("date,value, value ", "value", ["filter", "dup.csv", "--lambda", "1"]),
+    ("date,value,b,value", "value", ["calibrate", "dup.csv"]),
+    ("date,value,value", "value", ["backtest", "dup.csv", "--model", "ma"]),
+    ("date,value,value", "value", ["backtest", "p.csv", "--model", "ma", "--rates", "dup.csv"]),
+], ids=["l1t-multi", "filter-stripped", "calibrate", "backtest", "backtest-rates"])
+def test_repeated_value_column_is_data_error(tmp_path, capsys, monkeypatch, header, name,
+                                             command):
+    monkeypatch.chdir(tmp_path)
+    walk = np.cumsum(np.random.default_rng(0).standard_normal(12))
+    cells = header.count(",")
+    write_lines(tmp_path / "dup.csv", [header, *(",".join([str(i), *[repr(float(v))] * cells])
+                                                 for i, v in enumerate(walk))])
+    write_csv(tmp_path / "p.csv", np.arange(12), [("value", np.full(12, 75.0))])
+    assert main(command) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"data error: dup.csv: value column {name!r} is named more than once\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.csv", "p.csv"]
+
+
+@pytest.mark.parametrize("dest, argv", [
+    ("report", ["filter", "in.csv", "--lambda", "1"]),
+    ("out", ["filter", "in.csv", "--kind", "l1tc", "--lambda1", "1", "--lambda2", "1"]),
+    ("errors_out", ["calibrate", "in.csv"]),
+    ("report", ["calibrate", "in.csv"]),
+    ("out", ["backtest", "in.csv", "--model", "ma"]),
+    ("report", ["backtest", "in.csv", "--model", "hp"]),
+    ("out", ["simulate", "--n", "5"]),
+], ids=["filter-report", "filter-out", "calibrate-errors-out", "calibrate-report",
+        "backtest-out", "backtest-report", "simulate-out"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_output_path_outside_a_directory_is_usage_error_before_any_input(
+        tmp_path, capsys, monkeypatch, dest, argv, via_config):
+    monkeypatch.setattr(cli, "read_table", _no_input)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    flag = cli._option(dest)
+    for path, fault in [("nodir/x.out", "no directory nodir"), ("d", "is a directory"),
+                        ("d/sub/x.out", "no directory d/sub")]:
+        if via_config:
+            (tmp_path / "x.cfg").write_text(f"{dest} = {path}\n")
+            extra = ["--config", "x.cfg"]
+        else:
+            extra = [flag, path]
+        assert main([*argv, *extra]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {flag} {path}: {fault}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", *(["x.cfg"] if via_config else [])]
+    if argv[0] != "simulate":  # a path in an existing directory passes to the input
+        with pytest.raises(AssertionError, match="^input read$"):
+            main([*argv, flag, "d/x.out"])
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_missing_input_file_is_usage_or_data_error(tmp_path):
     assert main(["filter", str(tmp_path / "nope.csv"), "--kind", "l1t",
                  "--lambda", "1"]) == EXIT_DATA
@@ -965,6 +1059,32 @@ def test_overflowing_order1_gap_is_numerical_failure_without_warnings(tmp_path, 
                      "--lambda-max-fraction", "0.1"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["filter", "big.csv", "--kind", "l1c", "--lambda", "1"],
+    ["filter", "big.csv", "--kind", "l1tc", "--lambda1", "1", "--lambda2", "0"],
+    ["calibrate", "big.csv", "--order", "1", "--t1", "60", "--t2", "15", "--m", "3", "--p", "3",
+     "--n-grid", "4"],
+], ids=["l1c", "l1tc-lambda2-0", "calibrate-order1"])
+def test_overflowing_order1_sum_is_numerical_failure_without_warnings(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # three samples of 1.7e308 sum past the float range, as do 105 near 1e308 for the grid
+    message = "direct order-1 solve overflows: a sum of the data exceeds the float range"
+    monkeypatch.chdir(tmp_path)
+    n = 105 if command[0] == "calibrate" else 3
+    y = np.where(np.arange(n) % 2 == 0, 1.7e308, 1.6e308)
+    write_csv(tmp_path / "big.csv", np.arange(n), [("value", y)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=f"^{message}$") as info:
+            l1_filter(np.full(3, 1.7e308), 1.0, order=1)
+        record = info.value.diagnostics
+        assert (record.failure, record.iterations) == (message, 0)
+        assert math.isnan(record.duality_gap) and math.isnan(record.kkt_residual)
+        assert main(command) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 @pytest.mark.parametrize("weights, message", [

@@ -237,6 +237,21 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+MODULES = ("banded", "calibration", "errors", "filters", "ipm", "series", "strategy", "synth")
+
+
+def test_package_exports_each_modules_all_once():
+    declared = [name for module in MODULES
+                for name in importlib.import_module(f"trendkit.{module}").__all__]
+    assert len(declared) == len(set(declared))  # no name in two modules
+    public = {name for name, value in vars(trendkit).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(declared)
+    assert {"check_rate", "check_weight", "TREND_WINDOWS", "TREND_MODELS", "L1_MODELS",
+            "SPECTRAL_RATIO"} <= public
+    assert {path.stem for path in PACKAGE.glob("*.py")} == {*MODULES, "__init__", "cli", "tv"}
+
+
 def test_spectral_calibration_is_unchanged():
     # scripts/spectral_match.py, the one user of scipy.optimize
     assert calibrate_l2_spectral(50) == 20609.739596957857
