@@ -35,15 +35,18 @@ a CSV that is not UTF-8; an empty --rates path; a time stamp beyond int64
 and a repeated value-column name (for filter and a --rates file); the l1c,
 l1tc (with a zero second weight) and order-1 calibrate solves of samples near
 1.7e308, whose running sums overflow; and simulate with an infinite or NaN
---sigma or --b. Each command passes only flags its filter kind or backtest
+--sigma or --b; a --rates file with two value columns, none named value
+(with and without the prices' --column), and one with a week-date stamp.
+Each command passes only flags its filter kind, backtest model or simulated
 model reads (a backtest model its own windows), except the usage errors for
-a flag it does not read, a second weight selection, cross-validation windows
-without --auto, given as flags or in a config file, a config file that names
-another, and these, each reported before its missing input is read: a
-backtest whose window is too short for its model or whose --rate is NaN or
--2, a filter given no weight, one l1tc weight, or a NaN weight, and an
---out, --report or --errors-out (a flag or a config key) that names a
-directory or lies in a missing one.
+a flag it does not read (simulate --theta for models 1 and 2 among them), a
+second weight selection, cross-validation windows without --auto, given as
+flags or in a config file, a config file that names another, and these,
+each reported before its missing input is read: a backtest whose window is
+too short for its model or whose --rate is NaN or -2, a filter given no
+weight, one l1tc weight, or a NaN weight, and an --out, --report or
+--errors-out (a flag or a config key) that names a directory, ends in a
+separator or lies in a missing one.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -221,6 +224,7 @@ def _cli_inputs() -> dict:
         "rates.csv": _csv(value=np.full(400, 1e-4)),
         "rates-late.csv": "date,value\n" + "".join(f"{t},0.0001\n" for t in range(1000, 1400)),
         "rates-minus-1.csv": _csv(value=np.where(np.arange(400) == 51, -1.0, 1e-4)),
+        "rates-two.csv": _csv(usd=np.full(400, 1e-4), eur=np.full(400, 2e-4)),
         "short.csv": _csv(value=np.full(40, 75.0)),
         "flat400.csv": _csv(value=np.full(400, 75.0)),
         "week.csv": "date,value\n2020-W01-3,1.0\n2020-W01-4,2.0\n2020-W01-5,3.0\n",
@@ -243,6 +247,7 @@ def _cli_inputs() -> dict:
         "noequals.cfg": "kind l1t\n",
         "calibrate.cfg": "t1 = 60\nt2 = 15\nm = 3\np = 3\nn-grid = 4\norder = 1\n",
         "simulate.cfg": "model = 2\nn = 120\nseed = 3\nout = sim.csv\n",
+        "simulate-theta.cfg": "model = 2\nn = 120\ntheta = 7\n",
         "backtest.cfg": "model = hp\nvol_window = 20\nt3 = 30\nrate = 0.0001\n",
         "filter-unread.cfg": "kind = l1t\nstandardize = true\nlambda = 1\n",
         "backtest-unread.cfg": "model = ma\nn_grid = 3\n",
@@ -342,6 +347,7 @@ def _cli_cases():
     # output paths that cannot be files, reported before the input is read
     yield "filter-report-no-directory", [*walk, "--lambda", "1", "--report", "nodir/r.json"]
     yield "filter-out-is-directory", [*walk, "--lambda", "1", "--out", "."]
+    yield "filter-out-trailing-separator", [*walk, "--lambda", "1", "--out", "nodir/"]
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
     yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",
@@ -370,6 +376,10 @@ def _cli_cases():
         for bad in ("inf", "nan"):
             yield f"simulate-{flag}-{bad}", ["simulate", "--n", "5", f"--{flag}", bad]
     yield "simulate-out-no-directory", ["simulate", "--n", "5", "--out", "nodir/m.csv"]
+    yield "simulate-out-trailing-separator", ["simulate", "--n", "5", "--out", "nodir/"]
+    for model, theta in ((1, "0.5"), (2, "7")):  # only model 4 reads theta
+        yield f"simulate-model{model}-theta-{theta}", ["simulate", "--model", str(model),
+                                                       "--n", "50", "--theta", theta]
 
     for model in TREND_MODELS:
         yield f"backtest-{model}", ["backtest", "prices.csv", "--model", model, *reads[model]]
@@ -417,6 +427,11 @@ def _cli_cases():
                                              "dupv.csv"]
     yield "backtest-rates-minus-1", ["backtest", "flat400.csv", *ma, "--rates",
                                      "rates-minus-1.csv"]
+    yield "backtest-rates-two-columns", ["backtest", "prices.csv", *ma, "--rates",
+                                         "rates-two.csv"]
+    yield "backtest-rates-two-columns-column", ["backtest", "prices.csv", *ma, "--rates",
+                                                "rates-two.csv", "--column", "value"]
+    yield "backtest-rates-week-dates", ["backtest", "prices.csv", *ma, "--rates", "week.csv"]
     yield "backtest-rate-20", ["backtest", "prices60.csv", *ma, "--rate", "20"]
     yield "backtest-wealth-overflow", ["backtest", "flat400.csv", *ma, "--rate", "20"]
     yield "backtest-one-return-x20", ["backtest", "jump.csv", *ma]
@@ -430,6 +445,7 @@ def _cli_cases():
     yield "config-numeric-out", [*walk, "--config", "out.cfg"]
     yield "config-calibrate", ["calibrate", "walk.csv", "--config", "calibrate.cfg"]
     yield "config-simulate", ["simulate", "--config", "simulate.cfg"]
+    yield "config-simulate-theta", ["simulate", "--config", "simulate-theta.cfg"]
     yield "config-backtest", ["backtest", "prices.csv", "--config", "backtest.cfg"]
     yield "config-backtest-t1", ["backtest", "prices.csv", "--config", "backtest-t1.cfg"]
     yield "config-filter-unread", [*walk, "--config", "filter-unread.cfg"]

@@ -10,8 +10,8 @@ for ``--n-grid``; ``lam`` also names ``--lambda``) and its value is parsed
 as that flag parses it; ``true`` and ``false`` turn a switch on and off.
 Explicit flags win over the file, which must not name another. A flag given
 neither way is not passed on, so the library's own default applies; one that
-the ``filter`` kind or ``backtest`` model does not read (``READS``) is a usage
-error either way.
+the ``filter`` kind, ``backtest`` model or ``simulate`` model does not read
+(``READS``) is a usage error either way.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -52,8 +53,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_time(token: str, line_no: int):
-    token = token.strip()
+def _parse_time(token: str):
+    """An integer stamp, or a YYYY-MM-DD date as its string; None for any other."""
     try:
         return int(token)
     except ValueError:
@@ -63,7 +64,7 @@ def _parse_time(token: str, line_no: int):
             return token
     except ValueError:
         pass
-    raise DataError(f"line {line_no}: time {token!r} is neither an integer nor YYYY-MM-DD")
+    return None
 
 
 def read_table(path):
@@ -93,9 +94,13 @@ def read_table(path):
             raise DataError(
                 f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        times.append(_parse_time(row[0], line_no))
+        stamp = row[0].strip()
+        times.append(_parse_time(stamp))
+        if times[-1] is None:
+            raise DataError(f"{path}: line {line_no}: time {stamp!r} is neither an integer "
+                            f"nor YYYY-MM-DD")
         if type(times[-1]) is int and not -2**63 <= times[-1] < 2**63:  # numpy's int64
-            raise DataError(f"{path}: line {line_no}: time {row[0].strip()!r} is beyond "
+            raise DataError(f"{path}: line {line_no}: time {stamp!r} is beyond "
                             f"the 64-bit integer range")
         for name, cell in zip(names, row[1:]):
             cell = cell.strip()
@@ -191,6 +196,7 @@ READS = {  # command -> (the flag picking its variant, {variant: the other flags
     "backtest": ("trend_model", {  # the allocation rule, the model's windows, an L1 grid
         m: _TRADE | {*w, *(("cv_m", "cv_p", "n_grid") if m in strategy.L1_MODELS else ())}
         for m, w in strategy.TREND_WINDOWS.items()}),
+    "simulate": ("model", synth.MODEL_FIELDS),
 }
 
 
@@ -326,7 +332,11 @@ def cmd_backtest(args) -> int:
     rates = {"rates": strategy.check_rate(args["rate"])} if "rate" in args else {}
     prices = ingest_csv(input_path, column=args.get("column"))
     if "rates" in args:  # an empty path too: it names no readable file
-        rates["rates"] = ingest_csv(args["rates"])
+        times, columns = read_table(args["rates"])
+        if len(columns) > 1 and "value" not in columns:  # --column picks the prices' column
+            raise DataError(f"{args['rates']}: several value columns {sorted(columns)}; a "
+                            f"rates file holds one value column, or one named 'value'")
+        rates["rates"] = Series(times, columns.get("value", next(iter(columns.values()))))
     report = strategy.run_backtest(prices, cfg=cfg, **rates)
 
     out_path = _out_path(args, "out", input_path, ".wealth.csv")
@@ -432,6 +442,8 @@ def main(argv=None) -> int:
             if path.is_dir() or not path.parent.is_dir():
                 fault = "is a directory" if path.is_dir() else f"no directory {path.parent}"
                 raise UsageError(f"{_option(dest)} {args[dest]}: {fault}")
+            if os.path.basename(args[dest]) in ("", "."):  # Path would write nodir/ as nodir
+                raise UsageError(f"{_option(dest)} {args[dest]}: names a directory, not a file")
         return args.pop("func")(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

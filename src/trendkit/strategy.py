@@ -8,15 +8,18 @@ mean-variance fraction clipped to the configured bounds, and compounds
 wealth with the realized price move. No estimate ever uses data past
 the decision date, so truncating the inputs reproduces the allocation
 path exactly. The history each model needs follows from its config and is
-checked before the model is built. The moving average and the quadratic
-filter, at the weight spectrally matched to T3, are linear in the last T3 log
-prices; each drift path is computed once.
+checked before the model is built.
 
-The L1 models fit daily: ``l1-local`` a local horizon (test T2), ``l1-global``
-a global one (test T3), each trained on four times its test width, and
-``l1-two-trend`` both, switching between them (``TREND_WINDOWS`` names each
-model's windows). Each day a horizon's weight is cross-validated on the history
-to date and its trailing training window is filtered at that weight.
+Every trend model gives one drift path, an estimate per day, before wealth
+compounds; NaN marks a day whose estimate failed, which keeps the previous
+allocation. The moving average and the quadratic filter, at the weight
+spectrally matched to T3, are linear in the last T3 log prices, so each path
+is computed at once. The L1 models fit daily: ``l1-local`` a local horizon
+(test T2), ``l1-global`` a global one (test T3), each trained on four times its
+test width, and ``l1-two-trend`` both, switching between them
+(``TREND_WINDOWS`` names each model's windows). Each day a horizon's weight is
+cross-validated on the history to date and its trailing training window is
+filtered at that weight.
 """
 
 from __future__ import annotations
@@ -204,10 +207,6 @@ def step_wealth(W: float, alpha: float, price_ratio: float, r: float) -> float:
     return W + W * (alpha * (price_ratio - 1.0) + (1.0 - alpha) * r)
 
 
-def _last_slope(trend: np.ndarray) -> float:
-    return float(trend[-1] - trend[-2])
-
-
 @dataclass(frozen=True)
 class TwoTrendPrediction:
     """Chosen trend path plus both candidates and the switch statistics."""
@@ -263,12 +262,12 @@ def _first_day(cfg: StrategyConfig) -> int:
     return max(cv.min_history for cv in cfg.cv_configs()) - 1
 
 
-def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
-    """Returns estimate(t) -> mu for t >= ``_first_day(cfg)``; it sees only
-    log prices up to and including t."""
+def _drift_path(cfg: StrategyConfig, log_p: np.ndarray, t0: int) -> np.ndarray:
+    """Drift estimate of each day from ``t0`` on, each from log prices up to
+    and including that day only; NaN marks a day whose estimate failed."""
     if cfg.trend_model == "ma":
-        return moving_average_trend(np.exp(log_p), cfg.T3).__getitem__
-
+        return moving_average_trend(np.exp(log_p), cfg.T3)
+    mu = np.full(len(log_p), np.nan)
     if cfg.trend_model == "hp":
         # The last slope of the fit A^{-1}y on a trailing window is c'A^{-1}y
         # = (A^{-1}c)'y for c = e_T - e_{T-1}, as A = I + 2 lam D'D is
@@ -277,22 +276,21 @@ def _make_mu_estimator(cfg: StrategyConfig, log_p: np.ndarray):
         slope = np.concatenate([np.zeros(window - 2), [-1.0, 1.0]])
         try:
             weights = hp_filter(slope, hp_lambda_for_window(window), order=2).trend
-        except NumericalError as exc:
-            error = exc  # raised on every decision day, as each day's fit would
-
-            def estimate(t):
-                raise error.with_traceback(None)
-
-            return estimate
-        windows = np.lib.stride_tricks.sliding_window_view(log_p, window)
-        mu_path = np.full(len(log_p), np.nan)
-        mu_path[window - 1:] = windows @ weights
-        return mu_path.__getitem__
-
+        except NumericalError:  # as each day's fit would fail
+            return mu
+        mu[window - 1:] = np.lib.stride_tricks.sliding_window_view(log_p, window) @ weights
+        return mu
     horizons = cfg.cv_configs()
-    if len(horizons) == 1:
-        return lambda t: _last_slope(_cv_fit(log_p[:t + 1], *horizons).trend)
-    return lambda t: _last_slope(predict_two_trend(log_p[:t + 1], *horizons).prediction)
+    for t in range(t0, len(log_p)):
+        try:
+            if len(horizons) == 1:
+                trend = _cv_fit(log_p[:t + 1], *horizons).trend
+            else:
+                trend = predict_two_trend(log_p[:t + 1], *horizons).prediction
+        except NumericalError:
+            continue
+        mu[t] = trend[-1] - trend[-2]
+    return mu
 
 
 def check_rate(rate) -> float:
@@ -349,7 +347,7 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
         raise InsufficientHistoryError(
             f"model {cfg.trend_model!r} needs at least {t0 + 2} samples, got {n}"
         )
-    estimate_mu = _make_mu_estimator(cfg, log_p)
+    mu = _drift_path(cfg, log_p, t0).tolist()
 
     variance = realized_vol(values, cfg.vol_window)
     # wealth compounds in Python floats, which overflow to inf without a warning
@@ -357,23 +355,20 @@ def run_backtest(prices, rates: Union[float, Series] = 0.0,
     wealth = np.empty(n)
     W = wealth[t0] = 1.0
     alphas = np.empty(n)
-    prev_alpha = 0.0
+    alpha = 0.0
     failures = []
     floored = []
 
     for t in range(t0, n):
-        try:
-            mu = estimate_mu(t)
+        if math.isnan(mu[t]):  # the previous allocation stands
+            failures.append(t)
+        else:
             sigma2 = variance[t]
             if sigma2 < VARIANCE_FLOOR:
                 sigma2 = VARIANCE_FLOOR
                 floored.append(t)
-            alpha = optimal_allocation(mu, sigma2, cfg)
-        except NumericalError:
-            failures.append(t)
-            alpha = prev_alpha
+            alpha = optimal_allocation(mu[t], sigma2, cfg)
         alphas[t] = alpha
-        prev_alpha = alpha
         if t < n - 1:
             W = wealth[t + 1] = step_wealth(W, alpha, ratios[t], rate_at[t])
             if not 0.0 < W < math.inf:

@@ -22,6 +22,7 @@ from .series import Series
 
 __all__ = [
     "ModelParams",
+    "MODEL_FIELDS",
     "default_params",
     "simulate_model1",
     "simulate_model2",
@@ -60,6 +61,11 @@ _DEFAULTS = {
     3: dict(n=2000, p=0.998, b=50.0, sigma=8.0),
     4: dict(n=2000, p=0.9985, b=20.0, sigma=2.0, theta=0.1),
 }
+
+
+# model -> the ModelParams fields its generator reads: only model 4 reverts at theta
+MODEL_FIELDS = {model: {"n", "p", "b", "sigma", "seed", *(("theta",) if model == 4 else ())}
+                for model in _DEFAULTS}
 
 
 def default_params(model: int, **overrides) -> ModelParams:

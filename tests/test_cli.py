@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, fields
 
@@ -95,8 +96,8 @@ class TestIngest:
     def test_only_calendar_dates_are_read(self, tmp_path, stamp):
         f = tmp_path / "w.csv"
         write_lines(f, ["date,value", "2020-01-01,1.0", f"{stamp},2.0", "2020-01-03,3.0"])
-        with pytest.raises(DataError, match=f"^line 3: time '{stamp}' is neither an "
-                                            "integer nor YYYY-MM-DD$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: line 3: time '{stamp}' "
+                                            "is neither an integer nor YYYY-MM-DD$"):
             ingest_csv(f)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -445,6 +446,23 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", [1, 2, 3])
+    @pytest.mark.parametrize("theta", ["1.0", "7"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_models_without_reversion_do_not_read_theta(self, tmp_path, capsys, monkeypatch,
+                                                        model, theta, via_config):
+        monkeypatch.chdir(tmp_path)
+        if via_config:
+            (tmp_path / "s.cfg").write_text(f"theta = {theta}\n")
+            extra = ["--config", "s.cfg"]
+        else:
+            extra = ["--theta", theta]
+        assert main(["simulate", "--model", str(model), "--n", "50", *extra]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --model {model} does not read --theta\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["s.cfg"] if via_config else [])
+        assert main(["simulate", "--model", "4", "--n", "50", *extra]) == \
+            (EXIT_USAGE if theta == "7" else EXIT_OK)  # model 4 reads and checks it
+
     def test_negative_draw_scale_is_allowed(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["simulate", "--n", "5", "--b", "-2", "--out", str(out)]) == EXIT_OK
@@ -601,7 +619,7 @@ class TestBacktestCommand:
         def no_model(*args, **kw):
             raise AssertionError("trend model built")
 
-        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        monkeypatch.setattr(strategy, "_drift_path", no_model)
         monkeypatch.setattr(cli, "read_table", _no_input)  # the rate is checked first
         f = self.make_prices(tmp_path, n=60)
         with warnings.catch_warnings():
@@ -835,6 +853,40 @@ def test_nonfinite_cell_is_data_error_at_its_line(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "m.csv", "p.csv"]
 
 
+@pytest.mark.parametrize("column", [[], ["--column", "close"]], ids=["default", "column"])
+def test_rates_with_several_value_columns_state_the_rates_rule(tmp_path, capsys, monkeypatch,
+                                                              column):
+    # --column picks the prices' column, so the message must not offer it
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "p.csv", np.arange(60), [("close", np.full(60, 75.0))])
+    write_csv(tmp_path / "r.csv", np.arange(60), [("usd", np.full(60, 1e-4)),
+                                                  ("eur", np.full(60, 2e-4))])
+    argv = ["backtest", "p.csv", "--model", "ma", "--t3", "20", "--vol-window", "20",
+            "--rates", "r.csv", *column]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: r.csv: several value columns ['eur', 'usd']; a rates file holds one "
+        "value column, or one named 'value'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "r.csv"]
+    write_csv(tmp_path / "r.csv", np.arange(60), [("usd", np.full(60, 1e-4)),
+                                                  ("value", np.full(60, 2e-4))])
+    assert main(argv) == EXIT_OK  # the one named value
+
+
+@pytest.mark.parametrize("command", [
+    ["filter", "bad.csv", "--lambda", "1"],
+    ["backtest", "p.csv", "--model", "ma", "--rates", "bad.csv"],
+], ids=["filter", "backtest-rates"])
+def test_bad_time_stamp_names_its_file(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "bad.csv", ["date,value", "0,1.0", "1,2.0", "2020-W01-3,3.0"])
+    write_csv(tmp_path / "p.csv", np.arange(3), [("value", np.full(3, 75.0))])
+    assert main(command) == EXIT_DATA
+    assert capsys.readouterr().err == ("data error: bad.csv: line 4: time '2020-W01-3' is "
+                                       "neither an integer nor YYYY-MM-DD\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "p.csv"]
+
+
 @pytest.mark.parametrize("content, reason", [
     (b"date,value\n0,1\n1,2\n2,\xff\xfe\n",
      "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
@@ -943,8 +995,12 @@ def test_output_path_outside_a_directory_is_usage_error_before_any_input(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     flag = cli._option(dest)
+    # pathlib drops a trailing separator: nodir/ would be written as the file nodir
+    names_a_directory = "names a directory, not a file"
     for path, fault in [("nodir/x.out", "no directory nodir"), ("d", "is a directory"),
-                        ("d/sub/x.out", "no directory d/sub")]:
+                        ("d/sub/x.out", "no directory d/sub"), ("d//", "is a directory"),
+                        ("nodir/", names_a_directory), ("d/new/", names_a_directory),
+                        ("new/.", names_a_directory)]:
         if via_config:
             (tmp_path / "x.cfg").write_text(f"{dest} = {path}\n")
             extra = ["--config", "x.cfg"]
@@ -1152,7 +1208,7 @@ def test_strategy_config_fields_are_the_backtest_flags():
     assert io <= dests
 
 
-@pytest.mark.parametrize("command", ["filter", "backtest"])
+@pytest.mark.parametrize("command", ["filter", "backtest", "simulate"])
 def test_every_flag_is_in_the_table_for_every_variant(command):
     """Each flag is read by some variant or by all (``_SHARED``), the table has
     one entry per variant and names only flags the parser has, and each
@@ -1160,7 +1216,7 @@ def test_every_flag_is_in_the_table_for_every_variant(command):
     actions = {a.dest: a for a in _subparser(command)._actions if a.dest != "help"}
     key, reads = cli.READS[command]
     assert set(reads) == set(actions[key].choices)
-    assert set().union(*reads.values()) | cli._SHARED | {key} == {*actions, "command", "func"}
+    assert set().union(*reads.values()) | {key} == set(actions) - cli._SHARED
     for dest, action in actions.items():
         if action.option_strings:
             assert cli._option(dest) == action.option_strings[0]
@@ -1171,6 +1227,9 @@ def test_every_flag_is_in_the_table_for_every_variant(command):
         assert reads == {"ma": trade | {"T3"}, "hp": trade | {"T3"},
                          "l1-local": trade | {"T2"} | grid, "l1-global": trade | {"T3"} | grid,
                          "l1-two-trend": trade | {"T2", "T3"} | grid}
+    if command == "simulate":  # only model 4 reverts at theta
+        params = {"n", "p", "b", "sigma", "seed"}
+        assert reads == {1: params, 2: params, 3: params, 4: params | {"theta"}}
 
 
 def _flag_cases():

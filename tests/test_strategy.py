@@ -9,14 +9,15 @@ import hypothesis.strategies as st
 
 from trendkit import strategy
 from trendkit.calibration import CVConfig, cv_filter, hp_lambda_for_window
-from trendkit.errors import DataError, InsufficientHistoryError, NumericalError
+from trendkit.errors import (ConvergenceError, DataError, InsufficientHistoryError,
+                             NumericalError)
 from trendkit.filters import hp_filter
 from trendkit.series import Series
 from trendkit.strategy import (
     TREND_WINDOWS,
     StrategyConfig,
+    _drift_path,
     _first_day,
-    _make_mu_estimator,
     moving_average_trend,
     optimal_allocation,
     performance_stats,
@@ -309,7 +310,7 @@ class TestRunBacktest:
         def no_model(*args, **kw):
             raise AssertionError("trend model built")
 
-        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        monkeypatch.setattr(strategy, "_drift_path", no_model)
         with pytest.raises(ValueError, match="^rate must be finite and above -1, got "):
             run_backtest(exponential_prices(300), rate, small_cfg("l1-global"))
 
@@ -318,7 +319,7 @@ class TestRunBacktest:
         def no_model(*args, **kw):
             raise AssertionError("trend model built")
 
-        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        monkeypatch.setattr(strategy, "_drift_path", no_model)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^rate must be finite and above -1, "
@@ -333,7 +334,7 @@ class TestRunBacktest:
         def no_model(*args, **kw):
             raise AssertionError("trend model built")
 
-        monkeypatch.setattr(strategy, "_make_mu_estimator", no_model)
+        monkeypatch.setattr(strategy, "_drift_path", no_model)
         times = np.arange(1000, 1400)
         rates = np.full(400, 1e-4)
         rates[[51, 300]] = value
@@ -437,15 +438,16 @@ class TestHpDrift:
         rng = np.random.default_rng(window)
         log_p = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal(window + 150))
         cfg = StrategyConfig(trend_model="hp", T3=window)
-        estimate, first = _make_mu_estimator(cfg, log_p), _first_day(cfg)
+        first = _first_day(cfg)
         assert first == window - 1
+        mu = _drift_path(cfg, log_p, first)
         for t in range(first, len(log_p)):
             trend = hp_filter(log_p[t - window + 1:t + 1], lam, order=2).trend
             slope = trend[-1] - trend[-2]
             if lam == 0.0:
-                assert estimate(t) == slope
+                assert mu[t] == slope
             else:
-                assert abs(estimate(t) - slope) <= 1e-12
+                assert abs(mu[t] - slope) <= 1e-12
 
     @pytest.mark.parametrize("T3", [0, 1, 2])
     def test_window_under_three_is_rejected_before_any_fit(self, T3, monkeypatch):
@@ -481,6 +483,46 @@ class TestHpDrift:
             with pytest.raises(InsufficientHistoryError,
                                match=f"^model 'hp' needs at least 31 samples, got {n}$"):
                 run_backtest(exponential_prices(n), 0.0, small_cfg("hp"))
+
+
+class TestFailedL1Day:
+    """An L1 day whose cross-validation fails keeps the previous allocation;
+    every other day allocates as if no day had failed."""
+
+    @staticmethod
+    def run(model, fail=()):
+        """Backtest 12 days from day 179, with cv_filter raising on each
+        (day, test width) in ``fail``; unpatched when ``fail`` is empty."""
+        rng = np.random.default_rng(8)
+        values = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(191)))
+        cfg = small_cfg(model, risk_aversion=50.0)  # allocations inside the bounds
+
+        def flaky(y, cv):
+            if (len(y) - 1, cv.T2) in fail:
+                raise ConvergenceError("stalled in the line search")
+            return cv_filter(y, cv)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategy, "cv_filter", flaky)
+            return run_backtest(values, 0.0, cfg)
+
+    @pytest.mark.parametrize("model, fail", [
+        ("l1-global", [(179, 30), (183, 30), (184, 30), (190, 30)]),
+        ("l1-two-trend", [(179, 15), (183, 30), (184, 15), (184, 30), (190, 15)]),
+    ], ids=["global", "two-trend"])
+    def test_failed_days_keep_the_previous_allocation(self, model, fail):
+        clean, report = self.run(model), self.run(model, fail)
+        days = sorted({day for day, _ in fail})
+        assert clean.start_index == report.start_index == 179
+        assert clean.failures == []
+        assert report.failures == days
+        alloc, expected = report.allocations.values, clean.allocations.values
+        assert len(np.unique(expected)) == len(expected)  # each day moves the allocation
+        for k, day in enumerate(range(179, 191)):
+            if day in days:
+                assert alloc[k] == (alloc[k - 1] if k else 0.0)
+            else:
+                assert alloc[k] == expected[k]
 
 
 def test_config_validation():
