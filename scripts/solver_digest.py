@@ -44,9 +44,11 @@ second weight selection, cross-validation windows without --auto, given as
 flags or in a config file, a config file that names another, and these,
 each reported before its missing input is read: a backtest whose window is
 too short for its model or whose --rate is NaN or -2, a filter given no
-weight, one l1tc weight, or a NaN weight, and an --out, --report or
---errors-out (a flag or a config key) that names a directory, ends in a
-separator or lies in a missing one.
+weight, one l1tc weight, or a NaN weight, an --out, --report or
+--errors-out (a flag or a config key) that is empty, names a directory,
+ends in a separator or lies in a missing one, and two outputs of one
+command that name one file (by flags, in a config file, or an explicit
+path against a default one). An empty input path is a data error.
 
 It calls public functions only, so it runs unchanged against another
 checkout's sources:
@@ -255,6 +257,9 @@ def _cli_inputs() -> dict:
         "nested.cfg": "config = lambda.cfg\n",  # a config file that names another
         "lambda.cfg": "lambda = 1\n",
         "report-nodir.cfg": "lambda = 1\nreport = nodir/r.json\n",
+        "same-file.cfg": "t1 = 60\nt2 = 15\nm = 3\np = 3\nn_grid = 4\n"
+                         "report = r.json\nerrors_out = ./r.json\n",
+        "out-empty.cfg": "lambda = 1\nout =\n",
     }
 
 
@@ -348,6 +353,10 @@ def _cli_cases():
     yield "filter-report-no-directory", [*walk, "--lambda", "1", "--report", "nodir/r.json"]
     yield "filter-out-is-directory", [*walk, "--lambda", "1", "--out", "."]
     yield "filter-out-trailing-separator", [*walk, "--lambda", "1", "--out", "nodir/"]
+    yield "filter-out-empty", [*walk, "--lambda", "1", "--out", ""]
+    yield "filter-out-report-same-file", [*walk, "--lambda", "1", "--out", "a.json",
+                                          "--report", "./a.json"]
+    yield "filter-empty-input", ["filter", "", "--lambda", "1"]  # a data error
 
     yield "calibrate-reference", ["calibrate", "reference.csv"]
     yield "calibrate-options", ["calibrate", "walk.csv", *cv, "--order", "1",
@@ -377,6 +386,7 @@ def _cli_cases():
             yield f"simulate-{flag}-{bad}", ["simulate", "--n", "5", f"--{flag}", bad]
     yield "simulate-out-no-directory", ["simulate", "--n", "5", "--out", "nodir/m.csv"]
     yield "simulate-out-trailing-separator", ["simulate", "--n", "5", "--out", "nodir/"]
+    yield "simulate-out-empty", ["simulate", "--n", "5", "--out", ""]
     for model, theta in ((1, "0.5"), (2, "7")):  # only model 4 reads theta
         yield f"simulate-model{model}-theta-{theta}", ["simulate", "--model", str(model),
                                                        "--n", "50", "--theta", theta]
@@ -436,6 +446,8 @@ def _cli_cases():
     yield "backtest-wealth-overflow", ["backtest", "flat400.csv", *ma, "--rate", "20"]
     yield "backtest-one-return-x20", ["backtest", "jump.csv", *ma]
     yield "backtest-bad-model", ["backtest", "prices.csv", "--model", "oracle"]
+    yield "backtest-report-default-out", ["backtest", "prices.csv", *ma, "--report",
+                                          "prices.wealth.csv"]
 
     yield "config-filter", [*walk, "--config", "filter.cfg"]
     yield "config-flag-wins", [*walk, "--config", "filter.cfg", "--kind", "l1t"]
@@ -458,6 +470,8 @@ def _cli_cases():
     yield "config-missing", [*walk, "--config", "nope.cfg"]
     yield "config-names-config", [*walk, "--config", "nested.cfg"]
     yield "config-report-no-directory", [*walk, "--config", "report-nodir.cfg"]
+    yield "config-calibrate-same-file", ["calibrate", "walk.csv", "--config", "same-file.cfg"]
+    yield "config-out-empty", [*walk, "--config", "out-empty.cfg"]
 
 
 def _run_cli(argv, inputs) -> str:

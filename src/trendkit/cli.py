@@ -12,6 +12,12 @@ Explicit flags win over the file, which must not name another. A flag given
 neither way is not passed on, so the library's own default applies; one that
 the ``filter`` kind, ``backtest`` model or ``simulate`` model does not read
 (``READS``) is a usage error either way.
+
+``OUTPUTS`` names the files each command writes: a flag per file, whose
+default is the input's name (``model{N}`` for ``simulate``) with that file's
+suffix, beside the input. ``main`` settles every path before any input is
+read; an explicit one that is empty, names a directory or lies in a missing
+one is a usage error, and so are two outputs that name one file.
 """
 
 from __future__ import annotations
@@ -188,7 +194,7 @@ _PAIR = {"lambda1": "lam1", "lambda2": "lam2"}  # l1tc reads both: l1tc_filter's
 _WINDOWS = tuple(f.name for f in fields(calibration.CVConfig) if f.name != "order")
 _L1 = {"column", *_WEIGHTS, *_WINDOWS}
 _TRADE = {"rate", "rates", "column", "risk_aversion", "alpha_min", "alpha_max", "vol_window"}
-_SHARED = {"command", "func", "input", "out", "report", "config"}  # every variant's
+_SHARED = {"command", "func", "input", "config"}  # every variant's, with its OUTPUTS
 READS = {  # command -> (the flag picking its variant, {variant: the other flags it reads})
     "filter": ("kind", {"hp": {"column", "lam", "lambda_max_fraction", "order"},
                         "l1t": _L1, "l1c": _L1, "l1tc": {"column", *_PAIR},
@@ -197,6 +203,12 @@ READS = {  # command -> (the flag picking its variant, {variant: the other flags
         m: _TRADE | {*w, *(("cv_m", "cv_p", "n_grid") if m in strategy.L1_MODELS else ())}
         for m, w in strategy.TREND_WINDOWS.items()}),
     "simulate": ("model", synth.MODEL_FIELDS),
+}
+OUTPUTS = {  # command -> {output dest: its default's suffix to the input's name or model{N}}
+    "filter": {"out": ".trend.csv", "report": ".filter-report.json"},
+    "calibrate": {"report": ".cv-report.json", "errors_out": ".cv-errors.csv"},
+    "simulate": {"out": ".csv"},
+    "backtest": {"out": ".wealth.csv", "report": ".backtest-report.json"},
 }
 
 
@@ -209,10 +221,6 @@ def _option(dest: str) -> str:
 def _given(cls, args) -> dict:
     """The fields of dataclass ``cls`` that the flags or the config file set."""
     return {f.name: args[f.name] for f in fields(cls) if f.name in args}
-
-
-def _out_path(args, key, input_path, suffix):
-    return Path(args.get(key) or Path(input_path).with_suffix(suffix))
 
 
 def _resolve_lambda(values, order, args, cv):
@@ -232,7 +240,6 @@ def _resolve_lambda(values, order, args, cv):
 
 def cmd_filter(args) -> int:
     kind = args["kind"]
-    input_path = args["input"]
     weights = [d for d in (*_WEIGHTS, *_PAIR) if d in READS["filter"][1][kind]]
     given = [_option(d) for d in weights if d in args]
     if len(given) != (2 if kind == "l1tc" else 1):
@@ -247,7 +254,7 @@ def cmd_filter(args) -> int:
     cv = calibration.CVConfig(**_given(calibration.CVConfig, args), order=order) \
         if "auto" in args else None  # checked before any input is read
     if kind == "l1t-multi":
-        times, columns = read_table(input_path)
+        times, columns = read_table(args["input"])
         names = sorted(columns)
         try:  # a zero weight returns the (standardized) cross-sectional mean unsolved
             observed = filters.l1t_multivariate([columns[name] for name in names], 0.0,
@@ -257,7 +264,7 @@ def cmd_filter(args) -> int:
                 raise
             raise DataError(f"column {names[exc.series]!r} is constant; cannot standardize")
     else:
-        series = ingest_csv(input_path, column=args.get("column"))
+        series = ingest_csv(args["input"], column=args.get("column"))
         times, observed = series.times, series.values
 
     if kind == "l1tc":
@@ -282,26 +289,23 @@ def cmd_filter(args) -> int:
         "kkt_residual": diag.kkt_residual if diag else 0.0,
         **breaks,
     }
-    out_path = _out_path(args, "out", input_path, ".trend.csv")
-    write_csv(out_path, times, [("observed", observed), ("trend", result.trend)])
-    write_report(_out_path(args, "report", input_path, ".filter-report.json"), document)
-    print(f"wrote {out_path}")
+    write_csv(args["out"], times, [("observed", observed), ("trend", result.trend)])
+    write_report(args["report"], document)
+    print(f"wrote {args['out']}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    input_path = args["input"]
     cfg = calibration.CVConfig(**_given(calibration.CVConfig, args))
-    series = ingest_csv(input_path, column=args.get("column"))
+    series = ingest_csv(args["input"], column=args.get("column"))
     report = calibration.cv_filter(series.values, cfg)
 
     rows = [[_fmt(lam), _fmt(err)] for lam, err in zip(report.grid, report.errors)]
-    with open(_out_path(args, "errors_out", input_path, ".cv-errors.csv"), "w", newline="") as fh:
+    with open(args["errors_out"], "w", newline="") as fh:
         csv.writer(fh).writerows([["lambda", "error"], *rows])
 
-    report_path = _out_path(args, "report", input_path, ".cv-report.json")
-    write_report(report_path, {"config": asdict(cfg), **asdict(report)})
-    print(f"lambda_star = {_fmt(report.lambda_star)} ({report_path})")
+    write_report(args["report"], {"config": asdict(cfg), **asdict(report)})
+    print(f"lambda_star = {_fmt(report.lambda_star)} ({args['report']})")
     return EXIT_OK
 
 
@@ -318,19 +322,17 @@ def cmd_simulate(args) -> int:
     model = args["model"]
     params = synth.default_params(model, **_given(synth.ModelParams, args))
     simulate, names = _SIMULATORS[model]
-    out_path = Path(args["out"]) if args.get("out") else Path(f"model{model}.csv")
-    write_csv(out_path, np.arange(params.n), list(zip(names, simulate(params))))
-    print(f"wrote {out_path}")
+    write_csv(args["out"], np.arange(params.n), list(zip(names, simulate(params))))
+    print(f"wrote {args['out']}")
     return EXIT_OK
 
 
 def cmd_backtest(args) -> int:
-    input_path = args["input"]
     if "rate" in args and "rates" in args:
         raise UsageError("give --rate or --rates, not both")
     cfg = strategy.StrategyConfig(**_given(strategy.StrategyConfig, args))
     rates = {"rates": strategy.check_rate(args["rate"])} if "rate" in args else {}
-    prices = ingest_csv(input_path, column=args.get("column"))
+    prices = ingest_csv(args["input"], column=args.get("column"))
     if "rates" in args:  # an empty path too: it names no readable file
         times, columns = read_table(args["rates"])
         if len(columns) > 1 and "value" not in columns:  # --column picks the prices' column
@@ -339,8 +341,7 @@ def cmd_backtest(args) -> int:
         rates["rates"] = Series(times, columns.get("value", next(iter(columns.values()))))
     report = strategy.run_backtest(prices, cfg=cfg, **rates)
 
-    out_path = _out_path(args, "out", input_path, ".wealth.csv")
-    write_csv(out_path, report.wealth.times, [
+    write_csv(args["out"], report.wealth.times, [
         ("wealth", report.wealth.values),
         ("alpha", report.allocations.values),
     ])
@@ -353,8 +354,7 @@ def cmd_backtest(args) -> int:
         "floored_variance_dates": report.floored_variance_dates,
         "config": asdict(cfg),
     }
-    report_path = _out_path(args, "report", input_path, ".backtest-report.json")
-    write_report(report_path, document)
+    write_report(args["report"], document)
     stats = report.stats
     vol = "n/a" if stats.volatility_pct is None else f"{stats.volatility_pct:.2f}%"
     print(
@@ -393,33 +393,29 @@ def build_parser() -> _Parser:
     f.add_argument("--column")
     f.add_argument("--standardize", action="store_true")
     _config_flags(f, calibration.CVConfig, skip="order")
-    f.add_argument("--out")
-    f.add_argument("--report")
 
     c = command("calibrate", cmd_calibrate, "cross-validate the penalty weight")
     c.add_argument("input")
     _config_flags(c, calibration.CVConfig, skip="order")
     c.add_argument("--order", type=int, choices=[1, 2])
     c.add_argument("--column")
-    c.add_argument("--report")
-    c.add_argument("--errors-out")
 
     s = command("simulate", cmd_simulate, "generate a benchmark process")
     s.add_argument("--model", type=int, choices=list(_SIMULATORS), default=1)
     _config_flags(s, synth.ModelParams)
-    s.add_argument("--out")
 
     b = command("backtest", cmd_backtest, "walk-forward momentum backtest")
     b.add_argument("input")
-    b.add_argument("--model", dest="trend_model", choices=list(strategy.TREND_MODELS))
+    b.add_argument("--model", dest="trend_model", choices=list(strategy.TREND_MODELS),
+                   default=strategy.StrategyConfig.trend_model)
     b.add_argument("--rate", type=float)
     b.add_argument("--rates", help="CSV of per-period risk-free rates")
     b.add_argument("--column")
     _config_flags(b, strategy.StrategyConfig, skip="trend_model")
-    b.add_argument("--out")
-    b.add_argument("--report")
 
-    for sub in (f, c, s, b):
+    for name, sub in commands.choices.items():
+        for dest in OUTPUTS[name]:
+            sub.add_argument(_option(dest), dest=dest)
         sub.add_argument("--config", help="file of key = value flags; explicit flags win")
     return parser
 
@@ -431,19 +427,30 @@ def main(argv=None) -> int:
         args = vars(parser.parse_args(argv))
         if "config" in args:  # the file's flags go first, so explicit ones win
             args = vars(parser.parse_args(argv[:1] + load_config(args["config"]) + argv[1:]))
+        outputs = OUTPUTS[args["command"]]
         if args["command"] in READS:
             key, reads = READS[args["command"]]
-            variant = args.get(key, strategy.StrategyConfig.trend_model)  # --kind has a default
-            unread = [_option(d) for d in args if d not in _SHARED | {key} | reads[variant]]
+            unread = [_option(d) for d in args
+                      if d not in _SHARED | {key} | reads[args[key]] | outputs.keys()]
             if unread:
-                raise UsageError(f"{_option(key)} {variant} does not read {', '.join(unread)}")
-        for dest in (d for d in ("out", "report", "errors_out") if args.get(d)):
-            path = Path(args[dest])  # an explicit output path, checked before any input
-            if path.is_dir() or not path.parent.is_dir():
-                fault = "is a directory" if path.is_dir() else f"no directory {path.parent}"
-                raise UsageError(f"{_option(dest)} {args[dest]}: {fault}")
-            if os.path.basename(args[dest]) in ("", "."):  # Path would write nodir/ as nodir
-                raise UsageError(f"{_option(dest)} {args[dest]}: names a directory, not a file")
+                raise UsageError(f"{_option(key)} {args[key]} does not read {', '.join(unread)}")
+        stem = Path(args["input"] if "input" in args else f"model{args['model']}")
+        written = {}  # each output's resolved path -> its dest
+        for dest, suffix in outputs.items():
+            if dest not in args:  # Path("").with_suffix raises: an empty input is a data error
+                args[dest] = stem.parent / (stem.stem + suffix)
+            elif not args[dest]:
+                raise UsageError(f"{_option(dest)} '': names no file")
+            else:  # an explicit output path, checked before any input
+                path = Path(args[dest])
+                if path.is_dir() or not path.parent.is_dir():
+                    fault = "is a directory" if path.is_dir() else f"no directory {path.parent}"
+                    raise UsageError(f"{_option(dest)} {args[dest]}: {fault}")
+                if os.path.basename(args[dest]) in ("", "."):  # Path would write nodir/ as nodir
+                    raise UsageError(f"{_option(dest)} {args[dest]}: names a directory, not a file")
+                args[dest] = path
+            if (other := written.setdefault(os.path.realpath(args[dest]), dest)) != dest:
+                raise UsageError(f"{_option(other)} and {_option(dest)} both name {args[dest]}")
         return args.pop("func")(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

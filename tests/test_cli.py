@@ -1000,14 +1000,14 @@ def test_output_path_outside_a_directory_is_usage_error_before_any_input(
     for path, fault in [("nodir/x.out", "no directory nodir"), ("d", "is a directory"),
                         ("d/sub/x.out", "no directory d/sub"), ("d//", "is a directory"),
                         ("nodir/", names_a_directory), ("d/new/", names_a_directory),
-                        ("new/.", names_a_directory)]:
+                        ("new/.", names_a_directory), ("", "names no file")]:
         if via_config:
             (tmp_path / "x.cfg").write_text(f"{dest} = {path}\n")
             extra = ["--config", "x.cfg"]
         else:
             extra = [flag, path]
         assert main([*argv, *extra]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"usage error: {flag} {path}: {fault}\n"
+        assert capsys.readouterr().err == f"usage error: {flag} {path or repr(path)}: {fault}\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", *(["x.cfg"] if via_config else [])]
     if argv[0] != "simulate":  # a path in an existing directory passes to the input
         with pytest.raises(AssertionError, match="^input read$"):
@@ -1015,9 +1015,92 @@ def test_output_path_outside_a_directory_is_usage_error_before_any_input(
     assert list((tmp_path / "d").iterdir()) == []
 
 
-def test_missing_input_file_is_usage_or_data_error(tmp_path):
+_FILTER, _CALIBRATE = ["filter", "in.csv", "--lambda", "1"], ["calibrate", "in.csv"]
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (_FILTER, ["--out", "a.json", "--report", "a.json"], "--out and --report both name a.json"),
+    (_FILTER, ["--out", "a.json", "--report", "./a.json"], "--out and --report both name a.json"),
+    (_FILTER, ["--out", "d/../a.json", "--report", "a.json"],
+     "--out and --report both name a.json"),
+    (_FILTER, ["--report", "in.trend.csv"], "--out and --report both name in.trend.csv"),
+    (_CALIBRATE, ["--report", "r.json", "--errors-out", "r.json"],
+     "--report and --errors-out both name r.json"),
+    (_CALIBRATE, ["--errors-out", "in.cv-report.json"],
+     "--report and --errors-out both name in.cv-report.json"),
+    (["backtest", "in.csv", "--model", "ma"], ["--out", "in.backtest-report.json"],
+     "--out and --report both name in.backtest-report.json"),
+], ids=["filter", "filter-dot", "filter-dotdot", "filter-default", "calibrate",
+        "calibrate-default", "backtest-default"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_two_outputs_naming_one_file_is_usage_error_before_any_input(
+        tmp_path, capsys, monkeypatch, argv, extra, message, via_config):
+    monkeypatch.setattr(cli, "read_table", _no_input)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    if via_config:
+        write_lines(tmp_path / "x.cfg", _config_lines(extra))
+        extra = ["--config", "x.cfg"]
+    assert main([*argv, *extra]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", *(["x.cfg"] if via_config else [])]
+
+
+def test_output_naming_the_input_is_written_after_it_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    walk = np.cumsum(np.random.default_rng(0).standard_normal(40))
+    write_csv(tmp_path / "in.csv", np.arange(40), [("value", walk)])
+    assert main([*_FILTER, "--out", "in.csv"]) == EXIT_OK
+    assert capsys.readouterr().out == "wrote in.csv\n"
+    assert list(read_table(tmp_path / "in.csv")[1]) == ["observed", "trend"]
+
+
+_CV_FLAGS = ["--t1", "60", "--t2", "15", "--m", "3", "--p", "3", "--n-grid", "4"]
+_BACKTEST_FLAGS = ["--model", "ma", "--t3", "30", "--vol-window", "20"]
+
+
+@pytest.mark.parametrize("argv, written, stdout", [
+    (["filter", "s.csv", "--lambda", "1"], ["s.filter-report.json", "s.trend.csv"],
+     "wrote s.trend.csv\n"),
+    (["filter", "data/s.csv", "--kind", "hp", "--lambda", "1"],
+     ["data/s.filter-report.json", "data/s.trend.csv"], "wrote data/s.trend.csv\n"),
+    (["calibrate", "s.csv", *_CV_FLAGS], ["s.cv-errors.csv", "s.cv-report.json"],
+     "lambda_star = {lambda_star:.12g} (s.cv-report.json)\n"),
+    (["calibrate", "data/s.csv", *_CV_FLAGS], ["data/s.cv-errors.csv", "data/s.cv-report.json"],
+     "lambda_star = {lambda_star:.12g} (data/s.cv-report.json)\n"),
+    (["backtest", "data/s.csv", *_BACKTEST_FLAGS],
+     ["data/s.backtest-report.json", "data/s.wealth.csv"],
+     "performance {performance_pct:.2f}%  vol {volatility_pct:.2f}%  sharpe {sharpe:.2f}  "
+     "drawdown {max_drawdown_pct:.2f}%\n"),
+    (["simulate", "--n", "5"], ["model1.csv"], "wrote model1.csv\n"),
+    (["simulate", "--model", "3", "--n", "5"], ["model3.csv"], "wrote model3.csv\n"),
+], ids=["filter", "filter-subdirectory", "calibrate", "calibrate-subdirectory",
+        "backtest-subdirectory", "simulate", "simulate-model3"])
+def test_default_output_names(tmp_path, capsys, monkeypatch, argv, written, stdout):
+    """With no output flag, each file is named after the input (model{N} for
+    simulate) beside it, and the command prints what it prints with flags."""
+    monkeypatch.chdir(tmp_path)
+    inputs = [argv[1]] if argv[0] != "simulate" else []
+    prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(4).standard_normal(300)))
+    for name in inputs:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        write_csv(tmp_path / name, np.arange(300), [("value", prices)])
+    assert main(argv) == EXIT_OK
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted([*inputs, *written])
+    report = next((json.loads((tmp_path / name).read_text()) for name in written
+                   if name.endswith("report.json")), {})
+    assert capsys.readouterr().out == stdout.format(**report, **report.get("stats", {}))
+
+
+def test_missing_input_file_is_usage_or_data_error(tmp_path, capsys, monkeypatch):
     assert main(["filter", str(tmp_path / "nope.csv"), "--kind", "l1t",
                  "--lambda", "1"]) == EXIT_DATA
+    monkeypatch.chdir(tmp_path)  # an empty path names no file; its default outputs stay unwritten
+    assert main(["filter", "", "--lambda", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.endswith("data error: cannot read : "
+                                            "[Errno 2] No such file or directory: ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["filter", "--lambda", "1"], ["calibrate"]],
@@ -1210,13 +1293,15 @@ def test_strategy_config_fields_are_the_backtest_flags():
 
 @pytest.mark.parametrize("command", ["filter", "backtest", "simulate"])
 def test_every_flag_is_in_the_table_for_every_variant(command):
-    """Each flag is read by some variant or by all (``_SHARED``), the table has
-    one entry per variant and names only flags the parser has, and each
-    message names a flag as the user types it."""
+    """Each flag is read by some variant or by all (``_SHARED`` and the
+    command's ``OUTPUTS``), the table has one entry per variant and names
+    only flags the parser has, and each message names a flag as the user
+    types it."""
     actions = {a.dest: a for a in _subparser(command)._actions if a.dest != "help"}
     key, reads = cli.READS[command]
     assert set(reads) == set(actions[key].choices)
-    assert set().union(*reads.values()) | {key} == set(actions) - cli._SHARED
+    assert set().union(*reads.values()) | {key} == \
+        set(actions) - cli._SHARED - set(cli.OUTPUTS[command])
     for dest, action in actions.items():
         if action.option_strings:
             assert cli._option(dest) == action.option_strings[0]
